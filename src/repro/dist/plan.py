@@ -18,8 +18,10 @@ differential test of the protocol, not of two unrelated formulas.
 
 Everything here operates in *relabeled* ID space: vertex ``v`` of the
 input graph becomes ``rank[v]``, rows are sorted ascending, and an arc
-``(b, c)`` (``c < b``) is encoded as the int64 key ``b * n + c`` so
-membership reduces to one vectorised ``searchsorted``.
+``(b, c)`` (``c < b``) is encoded as the int64 key ``b * n + c``
+(:func:`repro.util.arrays.encode_keys`) so membership reduces to one
+vectorised ``searchsorted`` (:func:`repro.util.arrays.match_keys`), the
+same kernel the sequential HNN/NNN phases use.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.util.arrays import arc_keys
 
 __all__ = [
     "QUERY_BYTES",
@@ -40,7 +43,6 @@ __all__ = [
     "identity_rank",
     "lotus_rank",
     "wedge_chunks",
-    "match_keys",
     "count_hubs",
 ]
 
@@ -118,7 +120,7 @@ class ShardPlan:
 
     def arc_keys(self) -> np.ndarray:
         """All arcs as sorted int64 keys ``b * n + c``."""
-        return self.arc_src() * self.num_vertices + self.indices
+        return arc_keys(self.indptr, self.indices, self.num_vertices)
 
     def shard_arc_counts(self) -> np.ndarray:
         """Oriented arcs owned by each shard (``dist.shard_edges``)."""
@@ -248,15 +250,6 @@ def wedge_chunks(
         j[under] = lp[under] - tri[under]
         base = indptr[r]
         yield apex_ids[r], indices[base + i], indices[base + j]
-
-
-def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
-    """Vectorised membership: is each query key present in ``sorted_keys``?"""
-    if sorted_keys.size == 0 or query_keys.size == 0:
-        return np.zeros(query_keys.size, dtype=bool)
-    pos = np.searchsorted(sorted_keys, query_keys)
-    pos = np.minimum(pos, sorted_keys.size - 1)
-    return sorted_keys[pos] == query_keys
 
 
 def count_hubs(

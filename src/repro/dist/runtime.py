@@ -56,13 +56,13 @@ from repro.dist.plan import (
     build_plan,
     count_hubs,
     lotus_rank,
-    match_keys,
     wedge_chunks,
 )
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
 from repro.obs.telemetry import TraceContext, stitch_worker_payloads
 from repro.parallel.procpool import FAULT_EXIT_CODE, _preferred_context
+from repro.util.arrays import encode_keys, match_keys
 
 __all__ = [
     "ShardFailedError",
@@ -156,7 +156,7 @@ def _enumerate_shard(payload: dict, registry, root_span):
     row_indptr = payload["row_indptr"]
     row_indices = payload["row_indices"].astype(np.int64, copy=False)
 
-    own_keys = apexes.repeat(np.diff(row_indptr)) * n + row_indices
+    own_keys = encode_keys(apexes.repeat(np.diff(row_indptr)), row_indices, n)
     tally = np.zeros(4, dtype=np.int64)
     local_checks = 0
     query_parts: list[list[np.ndarray]] = [[] for _ in range(workers)]
@@ -170,14 +170,14 @@ def _enumerate_shard(payload: dict, registry, root_span):
             cls = count_hubs(a, b, c, hub_count)
             local = target == shard
             if local.any():
-                qk = b[local] * n + c[local]
+                qk = encode_keys(b[local], c[local], n)
                 local_checks += qk.size
                 hit = match_keys(own_keys, qk)
                 if hit.any():
                     tally += np.bincount(cls[local][hit], minlength=4)
             if not local.all():
                 rem = ~local
-                rk = b[rem] * n + c[rem]
+                rk = encode_keys(b[rem], c[rem], n)
                 rcls = cls[rem]
                 rtgt = target[rem]
                 for t in np.unique(rtgt):

@@ -26,10 +26,10 @@ from repro.dist.plan import (
     build_plan,
     degree_rank,
     identity_rank,
-    match_keys,
     wedge_chunks,
 )
 from repro.graph.csr import CSRGraph
+from repro.util.arrays import encode_keys, match_keys
 
 __all__ = ["DistributedTCReport", "simulate_distributed_tc"]
 
@@ -93,7 +93,7 @@ def simulate_distributed_tc(
         apex_shard = shard_of[a]
         per_worker_checks += np.bincount(apex_shard, minlength=workers)
         remote += int(np.count_nonzero(shard_of[b] != apex_shard))
-        hit = match_keys(keys, b * n + c)
+        hit = match_keys(keys, encode_keys(b, c, n))
         if hit.any():
             per_worker_triangles += np.bincount(
                 apex_shard[hit], minlength=workers

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.structure import LotusGraph
 from repro.graph.csr import OrientedGraph
 from repro.memsim.trace import _merge_touched_per_arc, _oriented_arcs, _phase1_pairs
-from repro.util.arrays import rows_searchsorted
+from repro.util.arrays import arc_keys, key_width, rows_searchsorted
 
 __all__ = [
     "OpCounts",
@@ -116,10 +116,10 @@ def _merge_join_events(
         np.maximum(t_end - 1, t_start), max(indices_t.size - 1, 0)
     )
     t_last = np.where(has_t, indices_t[safe_last].astype(np.int64), -1)
-    q_start = indptr_q[arcs_src]
-    q_end = indptr_q[arcs_src + 1]
-    q_len = q_end - q_start
-    upto = rows_searchsorted(indices_q, q_start, q_end, t_last + 1)
+    q_len = indptr_q[arcs_src + 1] - indptr_q[arcs_src]
+    width = key_width(indices_q)
+    keys = arc_keys(indptr_q, indices_q, width)
+    upto = rows_searchsorted(keys, indptr_q, width, arcs_src, t_last + 1)
     touched_q = np.minimum(upto + 1, q_len)
     touched_q[~has_t | (q_len == 0)] = 0
 

@@ -34,7 +34,7 @@ from repro.memsim.regions import (
     REGION_INDICES,
     REGION_NHE,
 )
-from repro.util.arrays import concat_ranges, rows_searchsorted
+from repro.util.arrays import arc_keys, concat_ranges, key_width, rows_searchsorted
 
 __all__ = [
     "lotus_layout",
@@ -124,11 +124,11 @@ def _merge_touched_per_arc(
     has_src = src_end > src_start
     safe_last = np.minimum(np.maximum(src_end - 1, src_start), max(indices.size - 1, 0))
     src_last = np.where(has_src, indices[safe_last].astype(np.int64), -1)
-    dst_start = indptr[arcs_dst]
-    dst_end = indptr[arcs_dst + 1]
-    dst_len = dst_end - dst_start
+    dst_len = indptr[arcs_dst + 1] - indptr[arcs_dst]
     # count of elements <= src_last == lower bound of (src_last + 1)
-    upto = rows_searchsorted(indices, dst_start, dst_end, src_last + 1)
+    width = key_width(indices)
+    keys = arc_keys(indptr, indices, width)
+    upto = rows_searchsorted(keys, indptr, width, arcs_dst, src_last + 1)
     touched = np.minimum(upto + 1, dst_len)
     touched[~has_src | (dst_len == 0)] = 0
     return touched

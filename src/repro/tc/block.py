@@ -18,7 +18,13 @@ from repro.graph.csr import CSRGraph
 from repro.graph.reorder import apply_degree_ordering
 from repro.obs import root_span, timed_phase
 from repro.tc.result import TCResult
-from repro.util.arrays import concat_ranges, segment_sums
+from repro.util.arrays import (
+    arc_keys,
+    concat_ranges,
+    key_width,
+    match_keys,
+    rows_searchsorted,
+)
 from repro.util.timer import PhaseTimer
 
 __all__ = ["count_triangles_block"]
@@ -57,6 +63,8 @@ def count_triangles_block(
             span.set("num_blocks", num_blocks)
         with timed_phase(timer, "count") as span:
             indptr, indices = oriented.indptr, oriented.indices
+            width = key_width(indices)
+            keys = arc_keys(indptr, indices, width)
             total = 0
             for v in range(n):
                 row = indices[indptr[v] : indptr[v + 1]].astype(np.int64, copy=False)
@@ -75,17 +83,10 @@ def count_triangles_block(
                         if q.size == 0:
                             continue
                         # neighbours of each u restricted to [wlo, whi)
-                        u_start = indptr[us]
-                        u_end = indptr[us + 1]
-                        # range restriction via per-row binary search
-                        lo = u_start + _rows_searchsorted(indices, u_start, u_end, wlo)
-                        hi = u_start + _rows_searchsorted(indices, u_start, u_end, whi)
-                        lens = hi - lo
-                        gathered = indices[concat_ranges(lo, lens)]
-                        pos = np.searchsorted(q, gathered)
-                        np.minimum(pos, q.size - 1, out=pos)
-                        hits = (q[pos] == gathered).astype(np.int64)
-                        total += int(segment_sums(hits, lens).sum())
+                        lo = rows_searchsorted(keys, indptr, width, us, wlo)
+                        lens = rows_searchsorted(keys, indptr, width, us, whi) - lo
+                        gathered = indices[concat_ranges(indptr[us] + lo, lens)]
+                        total += int(np.count_nonzero(match_keys(q, gathered)))
         rspan.set("triangles", total)
     return TCResult(
         algorithm=f"block-{num_blocks}",
@@ -95,22 +96,3 @@ def count_triangles_block(
         extra={"num_blocks": num_blocks},
     )
 
-
-def _rows_searchsorted(
-    indices: np.ndarray, starts: np.ndarray, ends: np.ndarray, value: int
-) -> np.ndarray:
-    """Vectorised per-row ``searchsorted``: offset of ``value`` in each
-    sorted slice ``indices[starts[i]:ends[i]]``."""
-    lo = starts.astype(np.int64).copy()
-    hi = ends.astype(np.int64).copy()
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) // 2
-        vals = indices[np.minimum(mid, indices.size - 1)].astype(np.int64, copy=False)
-        go_right = active & (vals < value)
-        go_left = active & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[go_left] = mid[go_left]
-    return lo - starts.astype(np.int64)

@@ -7,16 +7,24 @@ all four are implemented here with identical semantics so they can be
 swapped in the ablation benches.
 
 Scalar kernels (``intersect_count_*``) operate on one pair of sorted
-arrays; :func:`batch_intersect_counts` is the vectorised work-horse used
-by the Forward and LOTUS implementations — it intersects one query row
-against many CSR rows in a single NumPy pass.
+arrays.  :func:`batch_pairwise_counts` is the vectorised work-horse of
+the fused Forward and LOTUS HNN/NNN paths — it intersects many row pairs
+in one sorted-arc-key membership pass; :func:`batch_intersect_counts`
+intersects one query row against many CSR rows (the per-vertex loops).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.arrays import concat_ranges, group_ids, segment_sums
+from repro.util.arrays import (
+    arc_keys,
+    concat_ranges,
+    encode_keys,
+    key_width,
+    match_keys,
+    segment_sums,
+)
 
 __all__ = [
     "intersect_count_merge",
@@ -31,6 +39,9 @@ __all__ = [
     "batch_pairwise_counts",
     "INTERSECT_KERNELS",
 ]
+
+# gathered elements per membership pass of batch_pairwise_counts
+_GATHER_CHUNK = 1 << 18
 
 
 def intersect_count_merge(a: np.ndarray, b: np.ndarray) -> int:
@@ -63,11 +74,7 @@ def intersect_count_binary(a: np.ndarray, b: np.ndarray) -> int:
     b = np.asarray(b)
     if a.size > b.size:
         a, b = b, a
-    if a.size == 0 or b.size == 0:
-        return 0
-    pos = np.searchsorted(b, a)
-    valid = pos < b.size
-    return int(np.count_nonzero(b[np.minimum(pos, b.size - 1)][valid] == a[valid]))
+    return int(np.count_nonzero(match_keys(b, a)))
 
 
 def intersect_count_hash(a: np.ndarray, b: np.ndarray) -> int:
@@ -210,23 +217,15 @@ def batch_intersect_counts(
     all ``rows`` in one shot and resolves membership with a single
     ``searchsorted`` — the Python interpreter never loops over edges.
 
-    This is the library's hot kernel: Forward (Algorithm 1 line 5), the
-    LOTUS HNN phase (Algorithm 3 line 9) and NNN phase (line 12) all
-    reduce to calls of this function.
+    The per-vertex (``fused=False``) Forward, HNN and NNN loops and the
+    node iterator reduce to calls of this function; their fused paths
+    use :func:`batch_pairwise_counts`.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    query = np.asarray(query)
-    if query.size == 0:
-        return np.zeros(rows.size, dtype=np.int64)
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    flat = concat_ranges(starts, lengths)
-    gathered = indices[flat]
-    pos = np.searchsorted(query, gathered)
-    np.minimum(pos, query.size - 1, out=pos)
-    hits = (query[pos] == gathered).astype(np.int64)
+    gathered = indices[concat_ranges(starts, lengths)]
+    hits = match_keys(np.asarray(query), gathered).astype(np.int64)
     return segment_sums(hits, lengths)
 
 
@@ -240,53 +239,46 @@ def batch_pairwise_counts(
 ) -> int:
     """Sum of ``|A.row(l) ∩ B.row(r)|`` over paired rows, fully vectorised.
 
-    Both structures must have sorted rows.  Used by the edge-iterator
-    algorithm where the pair list is the edge list itself.  Processes the
-    smaller side of each pair via gathered ``searchsorted`` against the
-    concatenation trick: for each pair we probe every element of the
-    B-row into the A-row.
+    Both structures must have sorted rows.  This is the kernel of the
+    LOTUS HNN and NNN phases, Forward and the edge iterator.  The smaller
+    row of each pair is gathered and its elements ``x`` are looked up as
+    the keys ``probe_row * W + x`` among the sorted :func:`arc_keys` of
+    the other structure, one ``searchsorted`` per chunk of gathered
+    elements.  ``W`` spans the columns of *both* structures, so a
+    gathered ID beyond the probed structure's largest column cannot alias
+    into the next row.
     """
     pairs_left = np.asarray(pairs_left, dtype=np.int64)
     pairs_right = np.asarray(pairs_right, dtype=np.int64)
     if pairs_left.size == 0:
         return 0
-    # probe the smaller row of each pair into the larger one so the
-    # gathered volume is sum(min(deg_l, deg_r)) — without this, pairs
-    # whose right row is a huge hub list dominate the gather cost
+    width = key_width(indices_a, indices_b)
+    keys_a = arc_keys(indptr_a, indices_a, width)
+    same = indptr_a is indptr_b and indices_a is indices_b
+    keys_b = keys_a if same else arc_keys(indptr_b, indices_b, width)
+    # gather the smaller row of each pair, so the gathered volume is
+    # sum(min(deg_l, deg_r)) — pairs with a hub row would dominate it
     deg_l = indptr_a[pairs_left + 1] - indptr_a[pairs_left]
     deg_r = indptr_b[pairs_right + 1] - indptr_b[pairs_right]
     swap = deg_l < deg_r
     total = 0
-    for sel, (ip_g, ix_g, ip_p, ix_p, gather_rows, probe_rows) in (
-        (~swap, (indptr_b, indices_b, indptr_a, indices_a, pairs_right, pairs_left)),
-        (swap, (indptr_a, indices_a, indptr_b, indices_b, pairs_left, pairs_right)),
+    for sel, ip_g, ix_g, g_lens, gather_rows, probe_keys, probe_rows in (
+        (~swap, indptr_b, indices_b, deg_r, pairs_right, keys_a, pairs_left),
+        (swap, indptr_a, indices_a, deg_l, pairs_left, keys_b, pairs_right),
     ):
-        g_rows_all = gather_rows[sel]
-        p_rows_all = probe_rows[sel]
-        chunk = 200_000
-        for s in range(0, g_rows_all.size, chunk):
-            g_rows = g_rows_all[s : s + chunk]
-            p_rows = p_rows_all[s : s + chunk]
-            g_starts = ip_g[g_rows]
-            g_lens = ip_g[g_rows + 1] - g_starts
-            gathered = ix_g[concat_ranges(g_starts, g_lens)].astype(np.int64, copy=False)
-            owner = group_ids(g_lens)  # index into this chunk's pairs
-            p_sel = p_rows[owner]
-            lo = ip_p[p_sel].copy()
-            hi = ip_p[p_sel + 1].copy()
-            # classic vectorised per-window binary search (lower bound)
-            while True:
-                active = lo < hi
-                if not active.any():
-                    break
-                mid = (lo + hi) // 2
-                vals = ix_p[np.minimum(mid, ix_p.size - 1)].astype(np.int64, copy=False)
-                go_right = active & (vals < gathered)
-                go_left = active & ~go_right
-                lo[go_right] = mid[go_right] + 1
-                hi[go_left] = mid[go_left]
-            found = (lo < ip_p[p_sel + 1]) & (
-                ix_p[np.minimum(lo, ix_p.size - 1)] == gathered
-            )
-            total += int(np.count_nonzero(found))
+        g_lens = g_lens[sel]
+        g_starts = ip_g[gather_rows[sel]]
+        probe_rows = probe_rows[sel]
+        cum = np.cumsum(g_lens)
+        s = 0
+        while s < cum.size:
+            # pairs [s, e) gather at most _GATHER_CHUNK elements, or one
+            # pair's row when that row alone is bigger
+            done = int(cum[s - 1]) if s else 0
+            e = max(int(np.searchsorted(cum, done + _GATHER_CHUNK, side="right")), s + 1)
+            lens = g_lens[s:e]
+            gathered = ix_g[concat_ranges(g_starts[s:e], lens)]
+            query = encode_keys(np.repeat(probe_rows[s:e], lens), gathered, width)
+            total += int(np.count_nonzero(match_keys(probe_keys, query)))
+            s = e
     return total

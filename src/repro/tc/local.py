@@ -17,7 +17,14 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.reorder import apply_degree_ordering
 from repro.obs import root_span
-from repro.util.arrays import concat_ranges, group_ids
+from repro.util.arrays import (
+    arc_keys,
+    concat_ranges,
+    encode_keys,
+    group_ids,
+    key_width,
+    match_keys,
+)
 
 __all__ = [
     "local_triangle_counts",
@@ -37,6 +44,8 @@ def _matched_triangles(oriented) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     indptr, indices = oriented.indptr, oriented.indices
     src_all = np.repeat(np.arange(oriented.num_vertices, dtype=np.int64), oriented.degrees())
     dst_all = indices.astype(np.int64, copy=False)
+    width = key_width(indices)
+    keys = arc_keys(indptr, indices, width)
     vs: list[np.ndarray] = []
     us: list[np.ndarray] = []
     ws: list[np.ndarray] = []
@@ -50,21 +59,7 @@ def _matched_triangles(oriented) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         gathered = indices[concat_ranges(g_starts, g_lens)].astype(np.int64, copy=False)
         owner = group_ids(g_lens)
         p_rows = src[owner]
-        lo = indptr[p_rows].copy()
-        hi = indptr[p_rows + 1].copy()
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) // 2
-            vals = indices[np.minimum(mid, indices.size - 1)].astype(np.int64, copy=False)
-            go_right = active & (vals < gathered)
-            go_left = active & ~go_right
-            lo[go_right] = mid[go_right] + 1
-            hi[go_left] = mid[go_left]
-        found = (lo < indptr[p_rows + 1]) & (
-            indices[np.minimum(lo, indices.size - 1)] == gathered
-        )
+        found = match_keys(keys, encode_keys(p_rows, gathered, width))
         if found.any():
             vs.append(p_rows[found])
             us.append(dst[owner][found])

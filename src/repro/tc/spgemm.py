@@ -25,7 +25,15 @@ from repro.graph.csr import CSRGraph
 from repro.graph.reorder import apply_degree_ordering
 from repro.obs import root_span, timed_phase
 from repro.tc.result import TCResult
-from repro.util.arrays import concat_ranges, group_ids, segment_sums
+from repro.util.arrays import (
+    arc_keys,
+    concat_ranges,
+    encode_keys,
+    group_ids,
+    key_width,
+    match_keys,
+    segment_sums,
+)
 from repro.util.timer import PhaseTimer
 
 __all__ = ["masked_spgemm_count", "spgemm_boolean", "count_triangles_spgemm"]
@@ -46,6 +54,8 @@ def masked_spgemm_count(
     n = indptr.size - 1
     total = 0
     row_lens = np.diff(indptr)
+    width = key_width(indices)
+    keys = arc_keys(indptr, indices, width)
     # chunk rows so the gathered volume stays bounded
     gather_per_row = segment_sums(
         row_lens[indices.astype(np.int64, copy=False)], row_lens
@@ -67,21 +77,7 @@ def masked_spgemm_count(
         gathered = indices[concat_ranges(indptr[ks], k_lens)].astype(np.int64, copy=False)
         g_owner = owner_row[group_ids(k_lens)]
         # mask probe: is `gathered[j]` a column of row g_owner[j]?
-        lo = indptr[g_owner].copy()
-        hi = indptr[g_owner + 1].copy()
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) // 2
-            vals = indices[np.minimum(mid, indices.size - 1)].astype(np.int64, copy=False)
-            go_right = active & (vals < gathered)
-            go_left = active & ~go_right
-            lo[go_right] = mid[go_right] + 1
-            hi[go_left] = mid[go_left]
-        found = (lo < indptr[g_owner + 1]) & (
-            indices[np.minimum(lo, indices.size - 1)] == gathered
-        )
+        found = match_keys(keys, encode_keys(g_owner, gathered, width))
         total += int(np.count_nonzero(found))
         start = stop
     return total

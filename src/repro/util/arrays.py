@@ -2,46 +2,63 @@
 
 These implement the "gather many CSR rows at once" idiom that keeps the
 per-vertex kernels of the TC algorithms inside NumPy: a Python loop runs
-only over vertices, while all per-edge work is batched.
+only over vertices, while all per-edge work is batched.  Membership in
+CSR rows is one ``searchsorted`` over sorted arc keys ``row * W + col``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["concat_ranges", "group_ids", "segment_sums", "rows_searchsorted"]
+__all__ = [
+    "concat_ranges", "group_ids", "segment_sums",
+    "key_width", "arc_keys", "encode_keys", "match_keys", "rows_searchsorted",
+]
+
+
+def key_width(*indices: np.ndarray) -> int:
+    """Row stride ``W`` of the arc keys: one more than the largest column
+    ID of all the given index arrays.  Structures whose keys meet must
+    share one ``W``, or a column ``>= W`` aliases into the next row."""
+    return 1 + max((int(ix.max()) for ix in indices if ix.size), default=0)
+
+
+def encode_keys(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """The int64 key ``rows * width + cols`` of each ``(row, col)`` arc."""
+    cols = np.asarray(cols).astype(np.int64, copy=False)
+    return np.asarray(rows, dtype=np.int64) * width + cols
+
+
+def arc_keys(indptr: np.ndarray, indices: np.ndarray, width: int) -> np.ndarray:
+    """Every arc of a CSR with sorted rows as its key; the keys come out
+    globally sorted.  ``ValueError`` if ``num_rows * width`` overflows int64."""
+    num_rows = indptr.size - 1
+    if num_rows * width > np.iinfo(np.int64).max:
+        raise ValueError(f"arc keys overflow int64: {num_rows} rows x width {width}")
+    rows = np.repeat(np.arange(num_rows, dtype=np.int64), np.diff(indptr))
+    return encode_keys(rows, indices, width)
+
+
+def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
+    """Vectorised membership: is each query key present in ``sorted_keys``?"""
+    if sorted_keys.size == 0 or query_keys.size == 0:
+        return np.zeros(query_keys.size, dtype=bool)
+    pos = np.searchsorted(sorted_keys, query_keys)
+    np.minimum(pos, sorted_keys.size - 1, out=pos)
+    return sorted_keys[pos] == query_keys
 
 
 def rows_searchsorted(
-    values: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
+    keys: np.ndarray, indptr: np.ndarray, width: int, rows: np.ndarray,
     needle: np.ndarray | int,
 ) -> np.ndarray:
-    """Vectorised per-row lower-bound search.
-
-    For each row ``i``, returns the offset of ``needle[i]`` (or a scalar
-    needle) within the sorted slice ``values[starts[i]:ends[i]]`` (i.e.
-    the count of elements ``< needle``).  One binary-search *round* per
-    iteration runs over all rows simultaneously, so the Python-level loop
-    is O(log max_row_len).
-    """
-    values = np.asarray(values)
-    lo = np.asarray(starts, dtype=np.int64).copy()
-    hi = np.asarray(ends, dtype=np.int64).copy()
-    start64 = np.asarray(starts, dtype=np.int64)
-    needle = np.asarray(needle, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) // 2
-        vals = values[np.minimum(mid, values.size - 1)].astype(np.int64, copy=False)
-        go_right = active & (vals < needle)
-        go_left = active & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[go_left] = mid[go_left]
-    return lo - start64
+    """Per-row lower bound over whole CSR rows: the count of elements of
+    row ``rows[i]`` below ``needle[i]`` (or a scalar needle).  ``keys`` is
+    :func:`arc_keys` of the CSR; needles are clamped to ``[0, width]`` so
+    a query key never reaches into the next row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    query = encode_keys(rows, np.clip(needle, 0, width), width)
+    return np.searchsorted(keys, query) - indptr[rows]
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

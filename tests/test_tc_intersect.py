@@ -17,10 +17,28 @@ from repro.tc.intersect import (
     merge_join_cost,
     merge_join_touched,
 )
+from repro.util.arrays import arc_keys, key_width, rows_searchsorted
 
 sorted_arrays = st.lists(st.integers(0, 60), max_size=40).map(
     lambda xs: np.array(sorted(set(xs)), dtype=np.int64)
 )
+
+
+def _csr(rows, dtype):
+    """CSR ``(indptr, indices)`` of a list of sorted rows."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.array([x for r in rows for x in r], dtype=dtype)
+    return indptr, indices
+
+
+# lists of sorted rows (empty rows included) over a 16-bit-safe universe
+csr_rows = st.lists(
+    st.lists(st.integers(0, 300), max_size=12).map(lambda xs: sorted(set(xs))),
+    min_size=1,
+    max_size=8,
+)
+index_dtypes = st.sampled_from([np.uint16, np.uint32, np.int64])
 
 
 class TestScalarKernels:
@@ -210,3 +228,64 @@ class TestBatchKernels:
         ix_b = np.array([5, 9], dtype=np.uint32)
         got = batch_pairwise_counts(ip_a, ix_a, ip_b, ix_b, np.array([0]), np.array([0]))
         assert got == 2
+
+    def test_pairwise_key_width_spans_both_structures(self):
+        """A gathered ID beyond the probed structure's largest column must
+        not alias into the next probed row: with ``W = max(A)+1 = 2`` the
+        query ``0*2 + 2`` would equal A's arc key ``(1, 0)``."""
+        ip_a = np.array([0, 2, 3], dtype=np.int64)
+        ix_a = np.array([0, 1, 0], dtype=np.uint32)  # rows [0, 1], [0]
+        ip_b = np.array([0, 1], dtype=np.int64)
+        ix_b = np.array([2], dtype=np.uint32)  # row [2]
+        left, right = np.array([0]), np.array([0])
+        assert batch_pairwise_counts(ip_a, ix_a, ip_b, ix_b, left, right) == 0
+        assert batch_pairwise_counts(ip_b, ix_b, ip_a, ix_a, right, left) == 0
+
+    @given(csr_rows, csr_rows, index_dtypes, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pairwise_matches_merge_property(self, rows_a, rows_b, dtype, data):
+        ip_a, ix_a = _csr(rows_a, dtype)
+        ip_b, ix_b = _csr(rows_b, dtype)
+        pairs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(rows_a) - 1), st.integers(0, len(rows_b) - 1)
+                ),
+                max_size=20,
+            )
+        )
+        left = np.array([p[0] for p in pairs], dtype=np.int64)
+        right = np.array([p[1] for p in pairs], dtype=np.int64)
+        expected = sum(
+            intersect_count_merge(
+                ix_a[ip_a[l] : ip_a[l + 1]], ix_b[ip_b[r] : ip_b[r + 1]]
+            )
+            for l, r in pairs
+        )
+        assert batch_pairwise_counts(ip_a, ix_a, ip_b, ix_b, left, right) == expected
+
+    @given(csr_rows, index_dtypes, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_searchsorted_matches_per_row(self, rows, dtype, data):
+        indptr, indices = _csr(rows, dtype)
+        width = key_width(indices)
+        keys = arc_keys(indptr, indices, width)
+        picked = np.array(
+            data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20)),
+            dtype=np.int64,
+        )
+        # needles below 0 and beyond the width exercise the clamp
+        needles = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(-5, 400), min_size=picked.size, max_size=picked.size
+                )
+            ),
+            dtype=np.int64,
+        )
+        got = rows_searchsorted(keys, indptr, width, picked, needles)
+        expected = [
+            np.searchsorted(indices[indptr[r] : indptr[r + 1]].astype(np.int64), x)
+            for r, x in zip(picked, needles)
+        ]
+        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.arrays import concat_ranges, group_ids, segment_sums
+from repro.util.arrays import arc_keys, concat_ranges, group_ids, key_width, segment_sums
 
 
 class TestConcatRanges:
@@ -76,3 +76,22 @@ class TestSegmentSums:
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 10, size=int(lens.sum()))
         assert segment_sums(values, lens).sum() == values.sum()
+
+
+class TestArcKeys:
+    def test_keys_sorted_row_major(self):
+        indptr = np.array([0, 2, 2, 3], dtype=np.int64)
+        indices = np.array([1, 4, 0], dtype=np.uint16)
+        width = key_width(indices)
+        assert width == 5
+        np.testing.assert_array_equal(arc_keys(indptr, indices, width), [1, 4, 10])
+
+    def test_width_spans_all_structures(self):
+        assert key_width(np.array([3]), np.array([], dtype=np.int64), np.array([9])) == 10
+        assert key_width(np.array([], dtype=np.int64)) == 1
+
+    def test_overflow_raises(self):
+        indptr = np.array([0, 1, 2], dtype=np.int64)
+        indices = np.array([0, 0], dtype=np.int64)
+        with pytest.raises(ValueError, match="2 rows x width"):
+            arc_keys(indptr, indices, 1 << 62)
