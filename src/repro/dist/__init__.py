@@ -25,7 +25,6 @@ from repro.dist.partition import (
 from repro.dist.plan import ShardPlan, build_plan, lotus_rank
 from repro.dist.runtime import (
     DistributedRunResult,
-    ShardFailedError,
     resolve_partitioner,
     run_distributed_count,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "build_plan",
     "lotus_rank",
     "DistributedRunResult",
-    "ShardFailedError",
     "resolve_partitioner",
     "run_distributed_count",
     "DistributedTCReport",

@@ -26,13 +26,14 @@ per-phase counts are identical to the sequential
 :class:`~repro.core.count.LotusCounts` decomposition — not just the
 total.
 
-Robustness mirrors :mod:`repro.parallel.procpool`: ``fault_shard``
-injects a hard crash (``os._exit(FAULT_EXIT_CODE)``), which the
-coordinator surfaces as a structured :class:`ShardFailedError` after
-draining surviving shards' telemetry; ``deadline_s`` propagates an
-absolute deadline into every worker, which aborts between protocol
-stages, and the coordinator raises ``TimeoutError``.  With an enabled
-registry each shard records real worker-side spans (``shard`` with
+Shards run on the same process runtime as the process backend,
+:class:`repro.parallel.workers.WorkerPool`; this module only routes.
+``fault_shard`` injects a hard crash (``os._exit(FAULT_EXIT_CODE)``),
+surfaced as :class:`~repro.parallel.workers.WorkerCrashError`
+(``"shard N died with exit code C"``) after the surviving shards are
+aborted and their partial span trees stitched; ``deadline_s`` bounds the
+run and raises ``TimeoutError``.  With an enabled registry each shard
+records real worker-side spans (``shard`` with
 ``enumerate``/``exchange``/``tally`` children) that are stitched under
 the coordinator's ``distributed`` span, and the run emits the ``dist.*``
 metric family (shard edge counts, boundary-edge ratio, local/remote
@@ -41,8 +42,6 @@ checks, bytes exchanged).
 
 from __future__ import annotations
 
-import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass
 
@@ -52,7 +51,6 @@ from repro.core.count import LotusCounts
 from repro.core.structure import LotusConfig
 from repro.dist.partition import PARTITIONERS
 from repro.dist.plan import (
-    ShardPlan,
     build_plan,
     count_hubs,
     lotus_rank,
@@ -60,42 +58,17 @@ from repro.dist.plan import (
 )
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
-from repro.obs.telemetry import TraceContext, stitch_worker_payloads
-from repro.parallel.procpool import FAULT_EXIT_CODE, _preferred_context
+from repro.parallel.workers import WorkerPool
 from repro.util.arrays import encode_keys, match_keys
 
 __all__ = [
-    "ShardFailedError",
     "DistributedRunResult",
     "run_distributed_count",
     "resolve_partitioner",
 ]
 
-# coordinator/worker poll granularity and post-crash telemetry drain
-_POLL_S = 0.05
-_TELEMETRY_DRAIN_S = 10.0
-
 # CLI-friendly aliases for PARTITIONERS keys
 _PARTITIONER_ALIASES = {"degree": "degree_balanced"}
-
-
-class ShardFailedError(RuntimeError):
-    """A shard process died (or exited) before completing the protocol.
-
-    Carries the failed ``shard`` id, its ``exitcode`` (``None`` when the
-    process is still alive but unresponsive) and a short ``reason``.  In
-    the serve engine this fails only the computation that dispatched the
-    distributed run — other cached structures and queued requests are
-    untouched.
-    """
-
-    def __init__(self, shard: int, exitcode: int | None = None,
-                 reason: str = "crashed") -> None:
-        detail = f" (exit code {exitcode})" if exitcode is not None else ""
-        super().__init__(f"shard {shard} {reason}{detail}")
-        self.shard = shard
-        self.exitcode = exitcode
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -124,19 +97,6 @@ def resolve_partitioner(name: str) -> str:
         known = ", ".join(sorted(PARTITIONERS) + sorted(_PARTITIONER_ALIASES))
         raise ValueError(f"unknown partitioner {name!r} (expected one of {known})")
     return name
-
-
-def _deadline_hit(deadline_abs: float | None) -> bool:
-    return deadline_abs is not None and time.time() > deadline_abs
-
-
-def _recv_routed(conn, deadline_abs: float | None):
-    """Worker-side receive with deadline polling; ``None`` on deadline."""
-    while True:
-        if _deadline_hit(deadline_abs):
-            return None
-        if conn.poll(_POLL_S):
-            return conn.recv()
 
 
 def _enumerate_shard(payload: dict, registry, root_span):
@@ -206,28 +166,23 @@ def _enumerate_shard(payload: dict, registry, root_span):
     return tally, stats, (own_keys, queries, classes)
 
 
-def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
-    """The full worker-side protocol; returns the shard's result dict."""
+def _run_shard(payload: dict, channel, registry, root_span) -> dict:
+    """Worker target: the full shard-side protocol; returns the shard's
+    result dict."""
     shard = payload["shard"]
     started = time.perf_counter()
     tally, stats, (own_keys, queries, classes) = _enumerate_shard(
         payload, registry, root_span
     )
-    if _deadline_hit(deadline_abs):
-        return {"shard": shard, "error": "deadline"}
 
     with registry.span("exchange", parent=root_span, shard=shard) as span:
-        conn.send(("queries", shard, queries))
-        inbound = _recv_routed(conn, deadline_abs)
-        if inbound is None:
-            return {"shard": shard, "error": "deadline"}
+        channel.send(queries)
+        inbound = channel.recv()
         answers = {
             src: match_keys(own_keys, qk) for src, qk in inbound.items()
         }
-        conn.send(("answers", shard, answers))
-        mine = _recv_routed(conn, deadline_abs)
-        if mine is None:
-            return {"shard": shard, "error": "deadline"}
+        channel.send(answers)
+        mine = channel.recv()
         span.set("queries_sent", stats["remote_checks"])
         span.set("queries_answered", sum(a.size for a in answers.values()))
 
@@ -239,11 +194,9 @@ def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
         triangles = int(tally.sum())
         span.set("triangles", triangles)
 
-    if root_span is not None:
-        root_span.set("triangles", triangles)
-        root_span.set("arcs", int(payload["row_indices"].size))
+    root_span.set("triangles", triangles)
+    root_span.set("arcs", int(payload["row_indices"].size))
     return {
-        "shard": shard,
         "nnn": int(tally[0]),
         "hnn": int(tally[1]),
         "hhn": int(tally[2]),
@@ -256,188 +209,9 @@ def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
     }
 
 
-def _shard_worker(
-    payload: dict,
-    conn,
-    result_queue,
-    telemetry_queue,
-    trace_wire: dict | None,
-    fault_shard: int | None,
-    deadline_abs: float | None,
-) -> None:
-    """Worker entry point: run the protocol, ship result + telemetry."""
-    shard = payload["shard"]
-    if fault_shard == shard:
-        # simulate a hard crash (segfault / OOM-kill): no cleanup, no result
-        os._exit(FAULT_EXIT_CODE)
-    try:
-        if trace_wire is not None:
-            from repro.obs.telemetry import (
-                worker_payload,
-                worker_telemetry_session,
-            )
-
-            with worker_telemetry_session(
-                trace_wire, "shard", shard=shard, pid=os.getpid()
-            ) as (wreg, wspan):
-                out = _run_shard(payload, conn, deadline_abs, wreg, wspan)
-            telemetry_queue.put(worker_payload(wreg, shard, os.getpid()))
-        else:
-            from repro.obs.registry import NULL_REGISTRY
-
-            out = _run_shard(payload, conn, deadline_abs, NULL_REGISTRY, None)
-        result_queue.put(out)
-    finally:
-        conn.close()
-
-
-def _drain_nowait(tele_queue, payloads: list) -> None:
-    if tele_queue is None:
-        return
-    while True:
-        try:
-            payloads.append(tele_queue.get_nowait())
-        except queue_mod.Empty:
-            return
-
-
-class _Coordinator:
-    """Routes stage messages between shards and polices failures."""
-
-    def __init__(self, procs, conns, result_queue, telemetry_queue,
-                 deadline_abs, registry, span):
-        self.procs = procs
-        self.conns = conns
-        self.result_queue = result_queue
-        self.telemetry_queue = telemetry_queue
-        self.deadline_abs = deadline_abs
-        self.registry = registry
-        self.span = span
-        self.telemetry_payloads: list[dict] = []
-        self.results: dict[int, dict] = {}
-
-    def _absorb_results(self, block: bool = False) -> None:
-        while True:
-            try:
-                r = self.result_queue.get(timeout=1.0 if block else 0)
-                self._note_result(r)
-                block = False
-            except queue_mod.Empty:
-                return
-
-    def _note_result(self, r: dict) -> None:
-        if r.get("error") == "deadline":
-            raise TimeoutError(
-                f"shard {r['shard']} exceeded the distributed deadline"
-            )
-        self.results[r["shard"]] = r
-
-    def _check_health(self, waiting_on: set[int]) -> None:
-        if _deadline_hit(self.deadline_abs):
-            raise TimeoutError("distributed count exceeded its deadline")
-        dead = [
-            s for s, p in enumerate(self.procs)
-            if p.exitcode not in (None, 0) and s in waiting_on
-        ]
-        exited = [
-            s for s, p in enumerate(self.procs)
-            if p.exitcode == 0 and s in waiting_on
-        ]
-        if exited:
-            # a clean exit without its stage message means the shard
-            # reported something on the result queue (e.g. a deadline);
-            # absorb before raising — a normal result may still be in
-            # flight when the exit code becomes visible
-            self._absorb_results(block=True)
-            still = [s for s in exited if s not in self.results]
-            if still:
-                raise ShardFailedError(still[0], 0, reason="exited early")
-        if dead:
-            self._drain_survivor_telemetry(dead)
-            raise ShardFailedError(dead[0], self.procs[dead[0]].exitcode)
-
-    def _drain_survivor_telemetry(self, dead: list[int]) -> None:
-        """Let survivors flush partial span trees before raising."""
-        if self.telemetry_queue is None:
-            return
-        deadline = time.perf_counter() + _TELEMETRY_DRAIN_S
-        while time.perf_counter() < deadline and any(
-            p.exitcode is None
-            for s, p in enumerate(self.procs)
-            if s not in dead
-        ):
-            _drain_nowait(self.telemetry_queue, self.telemetry_payloads)
-            time.sleep(_POLL_S)
-        _drain_nowait(self.telemetry_queue, self.telemetry_payloads)
-        stitch_worker_payloads(self.registry, self.span, self.telemetry_payloads)
-
-    def collect_stage(self, tag: str) -> dict[int, dict]:
-        """One message with ``tag`` from every shard, crash-checked."""
-        out: dict[int, dict] = {}
-        waiting = set(range(len(self.procs)))
-        eof: set[int] = set()
-        while waiting:
-            progressed = False
-            for s in list(waiting - eof):
-                if self.conns[s].poll(0):
-                    try:
-                        got_tag, shard, body = self.conns[s].recv()
-                    except EOFError:
-                        # the shard died with its pipe end open; leave it
-                        # to the health check to surface the exit code
-                        eof.add(s)
-                        continue
-                    if got_tag != tag:  # pragma: no cover - protocol bug
-                        raise RuntimeError(
-                            f"shard {shard} sent {got_tag!r}, expected {tag!r}"
-                        )
-                    out[shard] = body
-                    waiting.discard(s)
-                    progressed = True
-            if waiting and not progressed:
-                self._absorb_results()
-                self._check_health(waiting)
-                time.sleep(_POLL_S)
-        return out
-
-    def route(self, per_source: dict[int, dict]) -> None:
-        """Regroup ``{source: {target: data}}`` by target and deliver."""
-        shards = len(self.procs)
-        for target in range(shards):
-            bundle = {
-                src: data[target]
-                for src, data in per_source.items()
-                if target in data
-            }
-            try:
-                self.conns[target].send(bundle)
-            except (BrokenPipeError, OSError):
-                # the target died between stages; the next collect will
-                # surface the failure with its exit code
-                pass
-
-    def collect_results(self, expected: int) -> dict[int, dict]:
-        """Block until ``expected`` shard results arrived (or a shard died)."""
-        self._absorb_results()
-        while len(self.results) < expected:
-            try:
-                self._note_result(self.result_queue.get(timeout=_POLL_S))
-                continue
-            except queue_mod.Empty:
-                pass
-            _drain_nowait(self.telemetry_queue, self.telemetry_payloads)
-            self._check_health(
-                set(range(expected)) - set(self.results)
-            )
-        return self.results
-
-
-def _empty_result(shards: int, partitioner: str, hub_count: int,
-                  plan: ShardPlan | None = None) -> DistributedRunResult:
-    arcs = (
-        plan.shard_arc_counts() if plan is not None
-        else np.zeros(shards, dtype=np.int64)
-    )
+def _empty_result(shards: int, partitioner: str,
+                  hub_count: int) -> DistributedRunResult:
+    zeros = np.zeros(shards, dtype=np.int64)
     return DistributedRunResult(
         counts=LotusCounts(0, 0, 0, 0),
         shards=shards,
@@ -445,9 +219,9 @@ def _empty_result(shards: int, partitioner: str, hub_count: int,
         hub_count=hub_count,
         hub_edges=0,
         non_hub_edges=0,
-        per_shard_triangles=np.zeros(shards, dtype=np.int64),
-        per_shard_arcs=arcs,
-        boundary_edges=plan.boundary_edges if plan is not None else 0,
+        per_shard_triangles=zeros,
+        per_shard_arcs=zeros.copy(),
+        boundary_edges=0,
         boundary_edge_ratio=0.0,
         local_checks=0,
         remote_checks=0,
@@ -469,11 +243,11 @@ def run_distributed_count(
     Exact for any partitioner and shard count, with per-phase counts
     identical to the sequential LOTUS decomposition.  ``fault_shard``
     (tests only) makes that shard die with ``FAULT_EXIT_CODE`` before
-    doing any work; the call then raises :class:`ShardFailedError`.
-    ``deadline_s`` bounds the whole run: the deadline propagates to every
-    shard, workers abort between protocol stages, and ``TimeoutError``
-    is raised.  Graphs without edges are answered inline — no processes
-    are spawned.
+    doing any work; the call then raises
+    :class:`~repro.parallel.workers.WorkerCrashError` naming ``shard N``.
+    ``deadline_s`` bounds the whole run: past it the shards are aborted
+    and ``TimeoutError`` is raised.  Graphs without edges are answered
+    inline — no processes are spawned.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -505,69 +279,27 @@ def run_distributed_count(
         dspan.set("hub_count", hub_count)
         dspan.set("boundary_edges", plan.boundary_edges)
 
-        trace_ctx = TraceContext.from_span(dspan)
-        trace_wire = trace_ctx.to_wire() if trace_ctx is not None else None
-        deadline_abs = (
-            time.time() + deadline_s if deadline_s is not None else None
-        )
-
-        ctx = _preferred_context(start_method)
-        result_queue = ctx.Queue()
-        telemetry_queue = ctx.Queue() if trace_wire is not None else None
-        procs, parent_conns = [], []
-        try:
-            for shard in range(shards):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                p = ctx.Process(
-                    target=_shard_worker,
-                    args=(
-                        plan.shard_payload(shard),
-                        child_conn,
-                        result_queue,
-                        telemetry_queue,
-                        trace_wire,
-                        fault_shard,
-                        deadline_abs,
-                    ),
-                    daemon=True,
-                )
-                p.start()
-                child_conn.close()
-                procs.append(p)
-                parent_conns.append(parent_conn)
-
-            coord = _Coordinator(
-                procs, parent_conns, result_queue, telemetry_queue,
-                deadline_abs, registry, dspan,
+        with WorkerPool(
+            "shard", dspan, start_method=start_method, fault=fault_shard,
+            deadline_s=deadline_s,
+        ) as pool:
+            pool.start(
+                _run_shard, [plan.shard_payload(s) for s in range(shards)]
             )
-            coord.route(coord.collect_stage("queries"))
-            coord.route(coord.collect_stage("answers"))
-            results = coord.collect_results(shards)
-
-            if telemetry_queue is not None:
-                deadline = time.perf_counter() + _TELEMETRY_DRAIN_S
-                while (
-                    len(coord.telemetry_payloads) < shards
-                    and time.perf_counter() < deadline
-                ):
-                    try:
-                        coord.telemetry_payloads.append(
-                            telemetry_queue.get(timeout=_POLL_S)
-                        )
-                    except queue_mod.Empty:
-                        pass
-            for p in procs:
-                p.join(timeout=10.0)
-        finally:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=5.0)
-            for conn in parent_conns:
-                conn.close()
-            result_queue.close()
-            if telemetry_queue is not None:
-                telemetry_queue.close()
+            # two routed rounds (queries, then answers): regroup each
+            # ``{source: {target: data}}`` by target; every shard gets a
+            # bundle, empty or not, so no shard waits forever
+            for _round in range(2):
+                per_source = pool.gather()
+                pool.scatter({
+                    target: {
+                        src: data[target]
+                        for src, data in per_source.items()
+                        if target in data
+                    }
+                    for target in range(shards)
+                })
+            results = pool.gather()
 
         counts = LotusCounts(
             hhh=sum(r["hhh"] for r in results.values()),
@@ -588,7 +320,6 @@ def run_distributed_count(
         wall_hist = registry.histogram("dist.shard_wall_s")
         for s in sorted(results):
             wall_hist.observe(results[s]["wall_s"])
-        stitch_worker_payloads(registry, dspan, coord.telemetry_payloads)
         dspan.set("triangles", counts.total)
         dspan.set("bytes_exchanged", bytes_exchanged)
 

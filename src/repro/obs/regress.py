@@ -44,7 +44,7 @@ import os
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "DEFAULT_REL_TOL",
@@ -54,6 +54,7 @@ __all__ = [
     "MetricDelta",
     "artifact_from_record",
     "load_artifact",
+    "metric_kind",
     "compare_artifacts",
     "regressions",
     "format_deltas",
@@ -97,19 +98,49 @@ def load_artifact(path: str | pathlib.Path) -> dict[str, Any]:
     return artifact
 
 
-def _metric_kind(key: str) -> str:
+def metric_kind(key: str) -> str:
+    """Tolerance class of a metric key, for trajectory artifacts and
+    flattened run records alike: triangle counts compare exactly, shares
+    / rates (gauges) by absolute drift, overhead ratios against an
+    absolute ceiling, speedups as floors, wall-clock and load-dependent
+    metrics are informational only, everything else is a count gated by
+    relative tolerance.
+    """
     if key.endswith(".triangles"):
         return "exact"
     if key.endswith(".overhead_ratio"):
+        # telemetry/profiler self-measurement: gated against an absolute
+        # ceiling (profiler.* keys get their own, tighter default)
         return "ceiling"
-    if key.startswith("serve."):
-        # serving latencies / hit rates vary with machine load; they are
-        # tracked for trend lines, never gated
+    if ".profiler." in key or key.startswith("profiler."):
+        # sample/drop totals scale with wall time and machine load;
+        # trend, never gate (the overhead_ratio above is the gate)
         return "timing"
-    if key.endswith("_share"):
+    if ".sched." in key:
+        # scheduler-dependent metrics (tile/chunk/steal counts, pool waits,
+        # shm sizes) vary with worker count and backend by design; they are
+        # informational, so snapshots stay identical across backends
+        return "timing"
+    if ".serve." in key or key.startswith("serve."):
+        # serving metrics (cache hit mixes, queue depths, latencies) depend
+        # on request arrival order and machine load; trend, never gate
+        return "timing"
+    if ".dynamic." in key or key.startswith("dynamic."):
+        # dynamic-graph metrics: the update-vs-recount speedup is gated
+        # as a floor (the whole point of incremental maintenance); batch
+        # sizes, overlay residency and latencies are informational
+        return "floor" if key.endswith("_speedup") else "timing"
+    if key.endswith("_share") or key.startswith("gauge."):
         return "share"
     if key.endswith("_speedup"):
         return "floor"
+    if (
+        key.endswith("_seconds")
+        or key.endswith(".elapsed")
+        or key == "meta.elapsed"
+        or ".queue_wait" in key
+    ):
+        return "timing"
     return "count"
 
 
@@ -139,17 +170,15 @@ def compare_artifacts(
     candidate: dict[str, Any],
     rel_tol: float = DEFAULT_REL_TOL,
     share_tol: float = DEFAULT_SHARE_TOL,
-    kind_fn: Callable[[str], str] = _metric_kind,
     overhead_ceiling: float = DEFAULT_OVERHEAD_CEILING,
     profiler_ceiling: float = DEFAULT_PROFILER_CEILING,
 ) -> list[MetricDelta]:
     """Per-metric comparison; see the module docstring for the rules.
 
-    ``kind_fn`` maps a metric key to its tolerance class (``exact`` /
-    ``share`` / ``count`` / ``ceiling`` / ``timing``); the default is
-    the trajectory map, and the run ledger passes its own
-    (:func:`repro.obs.ledger.ledger_metric_kind`).  ``timing`` metrics
-    are reported but never regress — wall-clock is not gated.
+    :func:`metric_kind` maps each key to its tolerance class (``exact`` /
+    ``share`` / ``count`` / ``floor`` / ``ceiling`` / ``timing``).
+    ``timing`` metrics are reported but never regress — wall-clock is
+    not gated.
     ``ceiling`` metrics gate against an absolute ceiling even when they
     are candidate-only: ``overhead_ceiling`` for telemetry ratios,
     ``profiler_ceiling`` (tighter) for ``profiler.*`` keys.
@@ -169,7 +198,7 @@ def compare_artifacts(
             )
             continue
         cand_value = cand_metrics[key]
-        kind = kind_fn(key)
+        kind = metric_kind(key)
         if kind == "exact":
             regressed = cand_value != base_value
             reason = "exact-match metric changed" if regressed else ""
@@ -208,7 +237,7 @@ def compare_artifacts(
         deltas.append(MetricDelta(key, base_value, cand_value, kind, regressed, reason))
     for key, cand_value in cand_metrics.items():
         if key not in base_metrics:
-            if kind_fn(key) == "ceiling":
+            if metric_kind(key) == "ceiling":
                 # absolute gates apply even without a baseline value:
                 # new instrumentation must prove its own overhead
                 ceiling = ceiling_for(key)
@@ -333,13 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         parser.error("provide CANDIDATE or --latest DIR")
     candidate = _load_artifact_or_record(candidate_path)
-    kind_fn = _metric_kind
-    if "run-record-projection" in (baseline.get("kind"), candidate.get("kind")):
-        from repro.obs.ledger import ledger_metric_kind
-
-        kind_fn = ledger_metric_kind
     deltas = compare_artifacts(baseline, candidate, rel_tol=args.rel_tol,
-                               share_tol=args.share_tol, kind_fn=kind_fn,
+                               share_tol=args.share_tol,
                                overhead_ceiling=args.overhead_ceiling,
                                profiler_ceiling=args.profiler_ceiling)
     print(f"baseline:  {baseline_desc} (generated {baseline.get('generated')})")

@@ -6,14 +6,14 @@ streaming pipeline, in three pieces:
 **Trace propagation.**  Every :class:`~repro.obs.spans.Span` carries a
 stable ``trace_id`` / ``span_id`` / ``parent_id``.  :class:`TraceContext`
 serialises the (trace_id, span_id) pair of an open parent span into a
-plain dict (``to_wire``) that crosses a process boundary — procpool
-pickles it into each worker.  The worker runs a real in-process
+plain dict (``to_wire``) that crosses a process boundary — the worker
+runtime (:mod:`repro.parallel.workers`) pickles it into each worker.  The worker runs a real in-process
 :class:`~repro.obs.registry.MetricsRegistry` under
 :func:`worker_telemetry_session`, records spans with true worker-side
 start/stop timestamps, and ships :func:`worker_payload` (span trees +
-counter deltas) back over the pool's telemetry queue.  The parent calls
+counter deltas) back over the worker's pipe.  The parent calls
 :func:`stitch_worker_payloads` to graft those trees under its still-open
-``phase1`` span, so ledger records and Chrome-trace exports show real
+span (``phase1-processes`` or ``distributed``), so ledger records and Chrome-trace exports show real
 worker-side nesting with distinct pids.
 
 **Event bus + exporters.**  A process-wide :class:`TelemetryBus`

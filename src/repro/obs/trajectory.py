@@ -187,7 +187,7 @@ def build_serve_measurements(
     """One scripted warm/cold serve session over ``dataset``.
 
     Returns ``(metrics, info)``: every metric key is ``serve.``-prefixed,
-    which :func:`repro.obs.regress._metric_kind` classifies as ``timing``
+    which :func:`repro.obs.regress.metric_kind` classifies as ``timing``
     — reported in diffs, never a gate.  The correctness canary (all
     responses equal, warm responses are cache hits) is asserted here so a
     broken serving path fails the measurement loudly instead of writing

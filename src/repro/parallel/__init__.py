@@ -15,6 +15,9 @@ cannot reproduce hardware scheduling, so this package provides:
   inner loops);
 * :mod:`repro.parallel.procpool` — a process-pool backend sharing the
   Lotus structure and scheduler state via ``multiprocessing.shared_memory``;
+* :mod:`repro.parallel.workers` — the one worker-process runtime (spawn,
+  one pipe per worker, crash detection, telemetry stitching) under both
+  the process backend and :mod:`repro.dist.runtime`;
 * :mod:`repro.parallel.backend` — selection layer mapping
   ``auto | sequential | threads | processes`` onto the above.
 """
@@ -22,7 +25,7 @@ cannot reproduce hardware scheduling, so this package provides:
 from repro.parallel.backend import BACKENDS, BackendDecision, resolve_backend, run_phase1
 from repro.parallel.executor import count_hhh_hhn_parallel, count_hhh_hhn_parallel_split
 from repro.parallel.partition import edge_balanced_global_tiles
-from repro.parallel.procpool import WorkerCrashError, count_hhh_hhn_processes
+from repro.parallel.procpool import count_hhh_hhn_processes
 from repro.parallel.scheduler import (
     ScheduleResult,
     TileScheduler,
@@ -31,6 +34,7 @@ from repro.parallel.scheduler import (
     plan_assignment,
     simulate_schedule,
 )
+from repro.parallel.workers import WorkerCrashError
 
 __all__ = [
     "BACKENDS",

@@ -12,14 +12,14 @@ Scheduling state — the work-stealing deques of
 table — lives in a second shared segment, so steals are visible across
 processes through ordinary array writes guarded by per-worker locks.
 
-Telemetry crosses the pool boundary for real: when the parent runs with
-an enabled registry, a :class:`repro.obs.telemetry.TraceContext` is
-pickled into each worker, the worker records spans in its own
-in-process registry (true worker-side timestamps, one ``chunk`` child
-per executed chunk), and the resulting span trees + metric deltas come
-back over a dedicated telemetry queue to be stitched under the parent's
-``phase1-processes`` span.  A crashed worker still yields a partial
-trace: the survivors' payloads are drained before the crash is raised.
+Workers run on the shared process runtime,
+:class:`repro.parallel.workers.WorkerPool`: one pipe per worker carries
+its partial counts and, when the parent runs with an enabled registry,
+its ``worker`` span tree (true worker-side timestamps, one ``chunk``
+child per executed chunk), stitched under the parent's
+``phase1-processes`` span.  A crashed worker raises
+:class:`~repro.parallel.workers.WorkerCrashError` after the survivors'
+partial trees are stitched.
 
 Counts are bit-identical to the sequential phase for any worker count:
 every tile is executed exactly once and integer addition is associative.
@@ -30,56 +30,39 @@ worker crashes (exercised by the fault-injection tests via
 
 from __future__ import annotations
 
-import os
-import queue as queue_mod
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
 from repro.core.structure import LotusGraph
 from repro.core.tiling import Tile, tiles_for_phase1
 from repro.obs import get_registry
-from repro.obs.telemetry import TraceContext, stitch_worker_payloads
 from repro.parallel.scheduler import TileScheduler, chunk_tiles, plan_assignment
+from repro.parallel.workers import FAULT_EXIT_CODE, WorkerCrashError, WorkerPool
 from repro.util.shm import share_arrays
 
 __all__ = ["WorkerCrashError", "count_hhh_hhn_processes", "FAULT_EXIT_CODE"]
 
-# exit code used by injected worker faults (distinct from signal deaths)
-FAULT_EXIT_CODE = 23
 
-# how long the parent waits for telemetry payloads / crash survivors
-_TELEMETRY_DRAIN_S = 10.0
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker process died before reporting its partial counts."""
-
-    def __init__(self, message: str, exitcodes: dict[int, int | None]):
-        super().__init__(message)
-        self.exitcodes = exitcodes
-
-
-def _preferred_context(start_method: str | None):
-    import multiprocessing
-
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
-
-
-def _drain_deques(worker_id: int, lotus, sched, arrs, registry, root_span):
-    """Drain the work-stealing deques; one ``chunk`` span per chunk when
-    ``registry`` is live (the shared null registry makes them free)."""
+def _phase1_worker(payload, channel, registry, root_span) -> dict:
+    """Worker target: attach, drain the work-stealing deques (one
+    ``chunk`` span per chunk), return partial counts."""
     from repro.parallel.executor import run_tile_batch
+    # late import keeps the spawn pickle payload to plain manifests
+    from repro.util.shm import attach_arrays
 
+    worker_id, graph_manifest, sched_manifest, locks = payload
+    started = time.perf_counter()
+    lotus, graph_handle = LotusGraph.from_shared(graph_manifest)
+    sched_handle = attach_arrays(sched_manifest)
+    arrs = sched_handle.arrays
+    sched = TileScheduler(arrs["queue"], arrs["bounds"], arrs["region"], locks)
     chunk_indptr = arrs["chunk_indptr"]
     tv, ts, te, tw = (
         arrs["tile_vertex"], arrs["tile_start"], arrs["tile_stop"], arrs["tile_work"],
     )
-    hhh = hhn = 0
-    executed = stolen = 0
+    hhh = hhn = executed = stolen = 0
     while True:
         chunk, was_stolen = sched.next_chunk(worker_id)
         if chunk is None:
@@ -98,107 +81,17 @@ def _drain_deques(worker_id: int, lotus, sched, arrs, registry, root_span):
         hhh += a
         hhn += b
         executed += 1
-        if was_stolen:
-            stolen += 1
-    return hhh, hhn, executed, stolen
-
-
-def _worker_main(
-    worker_id: int,
-    graph_manifest: dict,
-    sched_manifest: dict,
-    locks,
-    result_queue,
-    telemetry_queue,
-    trace_wire: dict | None,
-    fault_worker: int | None,
-) -> None:
-    """Worker entry point: attach, drain the deques, report partials."""
-    if fault_worker == worker_id:
-        # simulate a hard crash (segfault / OOM-kill): no cleanup, no result
-        os._exit(FAULT_EXIT_CODE)
-    started = time.perf_counter()
-    # late import keeps the spawn pickle payload to plain manifests
-    from repro.util.shm import attach_arrays
-
-    lotus, graph_handle = LotusGraph.from_shared(graph_manifest)
-    sched_handle = attach_arrays(sched_manifest)
-    arrs = sched_handle.arrays
-    sched = TileScheduler(arrs["queue"], arrs["bounds"], arrs["region"], locks)
-    if trace_wire is not None:
-        from repro.obs.telemetry import worker_payload, worker_telemetry_session
-
-        # the parent's profiler asks workers to sample themselves by
-        # adding this key to the trace wire (TraceContext ignores it)
-        profile_interval_ms = trace_wire.get("profile_interval_ms")
-        wprofiler = None
-        if profile_interval_ms:
-            from repro.obs.profiler import SamplingProfiler
-
-            # activate=False: under fork the child inherits the parent's
-            # active-profiler global (its thread does not survive), so
-            # process-wide activation here would refuse to start
-            wprofiler = SamplingProfiler(
-                interval_s=float(profile_interval_ms) / 1000.0, activate=False
-            ).start()
-        try:
-            with worker_telemetry_session(
-                trace_wire, "worker", worker=worker_id, pid=os.getpid()
-            ) as (wreg, wspan):
-                hhh, hhn, executed, stolen = _drain_deques(
-                    worker_id, lotus, sched, arrs, wreg, wspan
-                )
-                wspan.set("executed", executed)
-                wspan.set("stolen", stolen)
-                wspan.set("hits", hhh + hhn)
-                wspan.set("wall_s", time.perf_counter() - started)
-        finally:
-            wprofile = wprofiler.stop() if wprofiler is not None else None
-        telemetry_queue.put(
-            worker_payload(wreg, worker_id, os.getpid(), profile=wprofile)
-        )
-    else:
-        from repro.obs.registry import NULL_REGISTRY
-
-        hhh, hhn, executed, stolen = _drain_deques(
-            worker_id, lotus, sched, arrs, NULL_REGISTRY, None
-        )
-    result_queue.put(
-        {
-            "worker": worker_id,
-            "hhh": hhh,
-            "hhn": hhn,
-            "executed": executed,
-            "stolen": stolen,
-            "wall_s": time.perf_counter() - started,
-        }
-    )
-    del lotus, sched, arrs
+        stolen += bool(was_stolen)
+    wall_s = time.perf_counter() - started
+    root_span.set("executed", executed)
+    root_span.set("stolen", stolen)
+    root_span.set("hits", hhh + hhn)
+    root_span.set("wall_s", wall_s)
+    del lotus, sched, arrs, chunk_indptr, tv, ts, te, tw
     graph_handle.close()
     sched_handle.close()
-
-
-def _drain_nowait(tele_queue, payloads: list) -> None:
-    """Move everything currently readable off the telemetry queue."""
-    if tele_queue is None:
-        return
-    while True:
-        try:
-            payloads.append(tele_queue.get_nowait())
-        except queue_mod.Empty:
-            return
-
-
-def _collect_payloads(tele_queue, expected: int, deadline_s: float) -> list[dict]:
-    """Blocking drain until ``expected`` payloads arrive or time is up."""
-    payloads: list[dict] = []
-    deadline = time.perf_counter() + deadline_s
-    while len(payloads) < expected and time.perf_counter() < deadline:
-        try:
-            payloads.append(tele_queue.get(timeout=0.1))
-        except queue_mod.Empty:
-            pass
-    return payloads
+    return {"hhh": hhh, "hhn": hhn, "executed": executed, "stolen": stolen,
+            "wall_s": wall_s}
 
 
 def count_hhh_hhn_processes(
@@ -253,10 +146,9 @@ def count_hhh_hhn_processes(
         chunk_costs = np.add.reduceat(tile_work.astype(np.float64), bounds[:-1])
         deques = plan_assignment(chunk_costs, workers)
         local_sched = TileScheduler.build(
-            deques, locks=[_NULL_LOCK] * workers
+            deques, locks=[nullcontext()] * workers
         )
 
-        ctx = _preferred_context(start_method)
         if graph_manifest is not None:
             graph_handle = None
             worker_graph_manifest = graph_manifest
@@ -285,107 +177,21 @@ def count_hhh_hhn_processes(
         phase_span.set("chunks", num_chunks)
         phase_span.set("shm_bytes", shm_bytes)
 
-        trace_ctx = TraceContext.from_span(phase_span)
-        trace_wire = trace_ctx.to_wire() if trace_ctx is not None else None
-        if trace_wire is not None:
-            from repro.obs.profiler import get_profiler
-
-            profiler = get_profiler()
-            if profiler is not None:
-                # ask workers to sample themselves at the parent's rate;
-                # their profiles fold back in during stitching
-                trace_wire["profile_interval_ms"] = profiler.interval_s * 1000.0
-
-        locks = [ctx.Lock() for _ in range(workers)]
-        result_queue = ctx.Queue()
-        telemetry_queue = ctx.Queue() if trace_wire is not None else None
-        telemetry_payloads: list[dict] = []
-        procs = []
         try:
-            for w in range(workers):
-                p = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        w,
-                        worker_graph_manifest,
-                        sched_handle.manifest,
-                        locks,
-                        result_queue,
-                        telemetry_queue,
-                        trace_wire,
-                        fault_worker,
-                    ),
-                    daemon=True,
+            with WorkerPool(
+                "worker", phase_span, start_method=start_method,
+                fault=fault_worker,
+            ) as pool:
+                locks = [pool.ctx.Lock() for _ in range(workers)]
+                pool.start(
+                    _phase1_worker,
+                    [
+                        (w, worker_graph_manifest, sched_handle.manifest, locks)
+                        for w in range(workers)
+                    ],
                 )
-                p.start()
-                procs.append(p)
-
-            results: dict[int, dict] = {}
-            while len(results) < workers:
-                try:
-                    r = result_queue.get(timeout=0.1)
-                    results[r["worker"]] = r
-                    continue
-                except queue_mod.Empty:
-                    pass
-                _drain_nowait(telemetry_queue, telemetry_payloads)
-                dead = [
-                    w for w, p in enumerate(procs)
-                    if p.exitcode not in (None, 0) and w not in results
-                ]
-                if dead:
-                    if telemetry_queue is not None:
-                        # let the survivors finish (they steal the dead
-                        # worker's chunks) so their partial span trees
-                        # flush through the telemetry channel before the
-                        # crash is surfaced
-                        deadline = time.perf_counter() + _TELEMETRY_DRAIN_S
-                        while time.perf_counter() < deadline and any(
-                            p.exitcode is None
-                            for w, p in enumerate(procs)
-                            if w not in dead
-                        ):
-                            try:
-                                r = result_queue.get(timeout=0.05)
-                                results[r["worker"]] = r
-                            except queue_mod.Empty:
-                                pass
-                            _drain_nowait(telemetry_queue, telemetry_payloads)
-                        _drain_nowait(telemetry_queue, telemetry_payloads)
-                        stitch_worker_payloads(
-                            registry, phase_span, telemetry_payloads
-                        )
-                    for p in procs:
-                        p.terminate()
-                    raise WorkerCrashError(
-                        f"worker(s) {dead} died with exit codes "
-                        f"{[procs[w].exitcode for w in dead]}",
-                        {w: p.exitcode for w, p in enumerate(procs)},
-                    )
-                if all(p.exitcode is not None for p in procs):
-                    raise WorkerCrashError(
-                        "all workers exited but results are missing",
-                        {w: p.exitcode for w, p in enumerate(procs)},
-                    )
-            if telemetry_queue is not None:
-                _drain_nowait(telemetry_queue, telemetry_payloads)
-                telemetry_payloads.extend(
-                    _collect_payloads(
-                        telemetry_queue,
-                        expected=workers - len(telemetry_payloads),
-                        deadline_s=_TELEMETRY_DRAIN_S,
-                    )
-                )
-            for p in procs:
-                p.join(timeout=10.0)
+                results = pool.gather()
         finally:
-            for p in procs:
-                if p.is_alive():  # pragma: no cover - crash path hygiene
-                    p.terminate()
-                    p.join(timeout=5.0)
-            result_queue.close()
-            if telemetry_queue is not None:
-                telemetry_queue.close()
             if graph_handle is not None:
                 graph_handle.unlink()
             sched_handle.unlink()
@@ -400,23 +206,6 @@ def count_hhh_hhn_processes(
         wall_hist = registry.histogram("parallel.sched.worker_wall_s")
         for w in sorted(results):
             wall_hist.observe(results[w]["wall_s"])
-        # worker spans are the real trees recorded inside the worker
-        # processes, grafted under this phase span via the propagated
-        # trace context (no parent-side synthesis)
-        stitch_worker_payloads(registry, phase_span, telemetry_payloads)
         phase_span.set("hits", hhh + hhn)
         phase_span.set("tasks_stolen", total_stolen)
         return hhh, hhn
-
-
-class _NullLock:
-    """Placeholder lock for building scheduler arrays in the parent."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_LOCK = _NullLock()

@@ -221,24 +221,14 @@ class TileScheduler:
         cls,
         deques: list[list[int]],
         locks: Sequence[AbstractContextManager],
-        queue: np.ndarray | None = None,
-        bounds: np.ndarray | None = None,
-        region: np.ndarray | None = None,
     ) -> "TileScheduler":
-        """Initialise scheduler arrays from :func:`plan_assignment` output.
-
-        Pass pre-allocated ``queue`` / ``bounds`` / ``region`` views
-        (e.g. shared-memory backed) to fill them in place; fresh arrays
-        are allocated otherwise.
-        """
+        """Scheduler arrays initialised from :func:`plan_assignment` output
+        (the process backend copies them into a shared segment)."""
         workers = len(deques)
         total = sum(len(d) for d in deques)
-        if queue is None:
-            queue = np.zeros(max(total, 1), dtype=np.int64)
-        if bounds is None:
-            bounds = np.zeros(2 * workers, dtype=np.int64)
-        if region is None:
-            region = np.zeros(workers + 1, dtype=np.int64)
+        queue = np.zeros(max(total, 1), dtype=np.int64)
+        bounds = np.zeros(2 * workers, dtype=np.int64)
+        region = np.zeros(workers + 1, dtype=np.int64)
         slot = 0
         for w, dq in enumerate(deques):
             region[w] = slot

@@ -24,10 +24,11 @@ One :class:`QueryEngine` owns
   shared-memory manifest instead of re-copying the structure per batch.
 
 Failure isolation: an exception inside one computation (including
-:class:`~repro.parallel.procpool.WorkerCrashError` from a crashed
-worker process) fails only the requests coalesced onto that
-computation; the cache entry stays resident and the engine keeps
-serving.
+:class:`~repro.parallel.workers.WorkerCrashError`, the one crash error
+of the worker runtime :mod:`repro.parallel.workers` that both the
+process backend and the distributed backend run on) fails only the
+requests coalesced onto that computation; the cache entry stays
+resident and the engine keeps serving.
 
 The ``serve.*`` metric family (exported through the active
 :class:`~repro.obs.registry.MetricsRegistry`):
@@ -643,11 +644,11 @@ def _default_executor(
 
     ``backend == "distributed"`` dispatches the cached graph to the
     sharded runtime (``workers`` shards) with the request's timeout as
-    the per-shard deadline.  A :class:`~repro.dist.runtime.ShardFailedError`
-    (or deadline ``TimeoutError``) propagates to the engine's per-
-    computation error handling, failing only the requests batched onto
-    this computation — the cached structure stays resident and other
-    computations are untouched.
+    the run's deadline.  A :class:`~repro.parallel.workers.WorkerCrashError`
+    naming the dead shard (or deadline ``TimeoutError``) propagates to
+    the engine's per-computation error handling, failing only the
+    requests batched onto this computation — the cached structure stays
+    resident and other computations are untouched.
     """
     if request.algorithm == "lotus":
         if backend == "distributed":

@@ -23,8 +23,8 @@ from repro.obs.ledger import (
     build_run_record,
     config_hash,
     flatten_record_metrics,
-    ledger_metric_kind,
 )
+from repro.obs.regress import metric_kind
 
 CONFIGS = [
     ("sequential", 1),
@@ -71,7 +71,7 @@ def snapshots(graph):
 
 def _deterministic(flat: dict) -> dict:
     return {
-        k: v for k, v in flat.items() if ledger_metric_kind(k) != "timing"
+        k: v for k, v in flat.items() if metric_kind(k) != "timing"
     }
 
 
@@ -98,14 +98,14 @@ def test_scheduler_metrics_are_timing_class():
         "gauge.parallel.sched.shm_bytes",
         "histogram.parallel.sched.worker_wall_s.count",
     ):
-        assert ledger_metric_kind(key) == "timing"
+        assert metric_kind(key) == "timing"
     # non-scheduler counters stay gated
-    assert ledger_metric_kind("counter.parallel.tiles") == "count"
+    assert metric_kind("counter.parallel.tiles") == "count"
 
 
 def test_speedup_metrics_are_floor_class():
-    assert ledger_metric_kind("EU15.phase1.workers4_sim_speedup") == "floor"
-    assert ledger_metric_kind("EU15.phase1.hits") == "count"
+    assert metric_kind("EU15.phase1.workers4_sim_speedup") == "floor"
+    assert metric_kind("EU15.phase1.hits") == "count"
 
 
 def test_config_hashes_distinguish_backends():

@@ -14,7 +14,6 @@ from repro.core.count import count_triangles_lotus, lotus_count_from_structure
 from repro.core.structure import LotusConfig, build_lotus_graph
 from repro.dist import (
     PARTITIONERS,
-    ShardFailedError,
     lotus_rank,
     resolve_partitioner,
     run_distributed_count,
@@ -23,7 +22,7 @@ from repro.dist import (
 from repro.graph import erdos_renyi, powerlaw_chung_lu
 from repro.obs import use_registry
 from repro.parallel.backend import run_phase1
-from repro.parallel.procpool import FAULT_EXIT_CODE
+from repro.parallel.workers import FAULT_EXIT_CODE, WorkerCrashError
 from repro.tc import count_triangles_matrix
 
 CONFIG = LotusConfig(hub_count=48)
@@ -102,13 +101,12 @@ class TestSimulatorDifferential:
 
 
 class TestFailureSemantics:
-    def test_fault_injection_raises_shard_failed(self, skew_graph):
-        with pytest.raises(ShardFailedError) as exc:
+    def test_fault_injection_raises_worker_crash(self, skew_graph):
+        with pytest.raises(WorkerCrashError) as exc:
             run_distributed_count(
                 skew_graph, config=CONFIG, shards=3, fault_shard=1
             )
-        assert exc.value.shard == 1
-        assert exc.value.exitcode == FAULT_EXIT_CODE
+        assert exc.value.exitcodes[1] == FAULT_EXIT_CODE
         assert "shard 1" in str(exc.value)
 
     def test_deadline_raises_timeout(self, skew_graph):
@@ -197,7 +195,7 @@ class TestServeIntegration:
         assert dist.triangles == seq.triangles
 
     def test_shard_failure_isolated_to_its_computation(self, serve_graph):
-        """A ShardFailedError fails only the affected computation; other
+        """A WorkerCrashError fails only the affected computation; other
         queries — and retries of the same graph — still succeed."""
         from repro.serve import QueryEngine, QueryRequest, StructureCache
         from repro.serve.engine import _default_executor
@@ -207,7 +205,10 @@ class TestServeIntegration:
         def faulting_executor(entry, request, backend, workers):
             if backend == "distributed" and armed["fault"]:
                 armed["fault"] = False
-                raise ShardFailedError(1, exitcode=FAULT_EXIT_CODE)
+                raise WorkerCrashError(
+                    f"shard 1 died with exit code {FAULT_EXIT_CODE}",
+                    {0: None, 1: FAULT_EXIT_CODE},
+                )
             return _default_executor(entry, request, backend, workers)
 
         other = erdos_renyi(150, 0.08, seed=77)

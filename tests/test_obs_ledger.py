@@ -26,10 +26,9 @@ from repro.obs.ledger import (
     diff_runs,
     flatten_record_metrics,
     format_run_diff,
-    ledger_metric_kind,
     run_span_deltas,
 )
-from repro.obs.regress import regressions
+from repro.obs.regress import metric_kind, regressions
 
 
 def _record(tmp_path=None, command="test", config=None, graph=None, **kw):
@@ -159,7 +158,7 @@ class TestDeterminism:
             )
             flat = flatten_record_metrics(record)
             flats.append({k: v for k, v in flat.items()
-                          if ledger_metric_kind(k) != "timing"})
+                          if metric_kind(k) != "timing"})
         assert flats[0] == flats[1]
 
 
@@ -324,10 +323,10 @@ class TestFlatten:
         assert flat["LJGrp.triangles"] == 7
 
     def test_kind_map(self):
-        assert ledger_metric_kind("meta.triangles") == "exact"
-        assert ledger_metric_kind("LJGrp.triangles") == "exact"
-        assert ledger_metric_kind("gauge.memsim.lotus.l1.hit_rate") == "share"
-        assert ledger_metric_kind("x.region.he.llc_share") == "share"
-        assert ledger_metric_kind("meta.elapsed") == "timing"
-        assert ledger_metric_kind("info.LJGrp.lotus_seconds") == "timing"
-        assert ledger_metric_kind("counter.parallel.tiles") == "count"
+        assert metric_kind("meta.triangles") == "exact"
+        assert metric_kind("LJGrp.triangles") == "exact"
+        assert metric_kind("gauge.memsim.lotus.l1.hit_rate") == "share"
+        assert metric_kind("x.region.he.llc_share") == "share"
+        assert metric_kind("meta.elapsed") == "timing"
+        assert metric_kind("info.LJGrp.lotus_seconds") == "timing"
+        assert metric_kind("counter.parallel.tiles") == "count"

@@ -39,8 +39,8 @@ class TestScalingMeasurements:
         )
 
     def test_speedup_keys_classified_as_floor(self):
-        assert regress._metric_kind("X.phase1.workers4_sim_speedup") == "floor"
-        assert regress._metric_kind("X.phase1.hits") == "count"
+        assert regress.metric_kind("X.phase1.workers4_sim_speedup") == "floor"
+        assert regress.metric_kind("X.phase1.hits") == "count"
 
 
 class TestServeMeasurements:
@@ -55,7 +55,7 @@ class TestServeMeasurements:
         assert info["serve.Twtr10.cold_ms"] > 0
         # every serve.* key is timing-kind: trended, never gated
         for key in metrics:
-            assert regress._metric_kind(key) == "timing"
+            assert regress.metric_kind(key) == "timing"
 
     def test_too_few_requests_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ class TestOverheadMeasurements:
         )
         ratio = metrics["telemetry.Twtr10.overhead_ratio"]
         assert ratio > 0
-        assert regress._metric_kind("telemetry.Twtr10.overhead_ratio") == (
+        assert regress.metric_kind("telemetry.Twtr10.overhead_ratio") == (
             "ceiling"
         )
         assert info["telemetry.Twtr10.events"] > 0
@@ -81,7 +81,7 @@ class TestOverheadMeasurements:
         )
         ratio = metrics["profiler.Twtr10.overhead_ratio"]
         assert ratio > 0
-        assert regress._metric_kind("profiler.Twtr10.overhead_ratio") == (
+        assert regress.metric_kind("profiler.Twtr10.overhead_ratio") == (
             "ceiling"
         )
         assert info["profiler.Twtr10.samples"] > 0
@@ -202,9 +202,7 @@ class TestProfilerCeilingGate:
         ) == []
 
     def test_ledger_kinds_for_profiler_metrics(self):
-        from repro.obs.ledger import ledger_metric_kind
-
-        assert ledger_metric_kind("profiler.EU15.overhead_ratio") == "ceiling"
-        assert ledger_metric_kind("counter.profiler.samples") == "timing"
-        assert ledger_metric_kind("counter.profiler.dropped") == "timing"
-        assert ledger_metric_kind("gauge.profiler.window_samples") == "timing"
+        assert regress.metric_kind("profiler.EU15.overhead_ratio") == "ceiling"
+        assert regress.metric_kind("counter.profiler.samples") == "timing"
+        assert regress.metric_kind("counter.profiler.dropped") == "timing"
+        assert regress.metric_kind("gauge.profiler.window_samples") == "timing"

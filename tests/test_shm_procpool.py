@@ -328,26 +328,3 @@ class TestWorkerTelemetry:
         # each worker's wall clock fits inside the phase: the sum cannot
         # exceed workers x the phase wall time (plus stitch tolerance)
         assert total <= workers * phase.elapsed * 1.05
-
-    @pytest.mark.parametrize("fault_worker", [0, 2])
-    def test_crash_still_flushes_partial_telemetry(
-        self, dataset_lotus, fault_worker
-    ):
-        before = _live_segments()
-        with use_registry() as reg:
-            with pytest.raises(WorkerCrashError) as excinfo:
-                count_hhh_hhn_processes(
-                    dataset_lotus["LJGrp"], workers=3, fault_worker=fault_worker
-                )
-        assert excinfo.value.exitcodes[fault_worker] == FAULT_EXIT_CODE
-        assert _live_segments() == before
-        # the survivors' telemetry must have been stitched before the raise
-        phase = reg.find_span("phase1-processes")
-        assert phase is not None
-        survivors = phase.find_all("worker")
-        assert len(survivors) == 2
-        assert {w.attrs["worker"] for w in survivors} == \
-            {0, 1, 2} - {fault_worker}
-        for w in survivors:
-            assert w.trace_id == phase.trace_id
-            assert w.attrs["executed"] > 0
