@@ -90,8 +90,13 @@ class TriangularBitArray:
 
     def test_pairs(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Boolean array: is the bit set for each pair?  Requires ``h1 > h2``."""
-        idx = self._indices(h1, h2)
-        return (self.data[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1 != 0
+        return self.test_keys(self._indices(h1, h2))
+
+    def test_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean array: is each bit index set?  ``keys`` are
+        :func:`triangular_index` values of valid pairs; phase 1 derives
+        them from checked HE rows, so no per-key range check runs here."""
+        return (self.data[keys >> 3] >> (keys & 7).astype(np.uint8)) & 1 != 0
 
     def set(self, h1: int, h2: int) -> None:
         """Scalar convenience wrapper around :meth:`set_pairs`; accepts any order."""

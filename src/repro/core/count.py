@@ -19,6 +19,7 @@ breakdown; :func:`count_triangles_lotus` is the end-to-end entry point
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,21 +28,19 @@ from repro.graph.csr import CSRGraph
 from repro.obs import root_span, timed_phase
 from repro.tc.intersect import batch_intersect_counts, batch_pairwise_counts
 from repro.tc.result import TCResult
-from repro.util.arrays import concat_ranges
+from repro.util.arrays import PAIR_CHUNK, pair_runs
 from repro.util.timer import PhaseTimer
 
 __all__ = [
     "LotusCounts",
     "count_hhh_hhn",
+    "phase1_counts",
+    "phase1_keys",
     "count_hnn",
     "count_nnn",
     "lotus_count_from_structure",
     "count_triangles_lotus",
 ]
-
-# pair-generation chunk bound: caps peak memory of the phase-1 pair blocks
-_PAIR_CHUNK = 1 << 22
-
 
 @dataclass(frozen=True)
 class LotusCounts:
@@ -65,72 +64,61 @@ class LotusCounts:
         return self.hub / self.total if self.total else 0.0
 
 
-def _batched_pair_count(lotus: LotusGraph, rows: np.ndarray) -> int:
-    """All-pairs H2H probes for many short neighbour lists at once.
+def phase1_keys(
+    lotus: LotusGraph, arcs: np.ndarray, chunk: int = PAIR_CHUNK
+) -> Iterator[np.ndarray]:
+    """H2H bit index of every phase-1 pair whose later hub is one of ``arcs``.
 
-    Pairs across all ``rows`` are enumerated in one flat ordinal space and
-    decoded with the closed-form triangular inverse
-    ``i = floor((1 + sqrt(1 + 8p)) / 2)``, ``j = p - i(i-1)/2`` — no
-    Python loop over vertices.  ``rows`` must each have
-    ``<= _PAIR_CHUNK`` pairs; bigger rows go through
-    :func:`_count_pairs_against_h2h`.
+    ``arcs`` are HE arc positions; each pairs with every earlier arc of
+    its row (:func:`~repro.util.arrays.pair_runs`), and a pair's key is
+    ``tri[later] + h[earlier]`` with ``tri = h(h-1)/2`` computed once
+    per arc.  The rows involved are checked once per arc before any key
+    is made: hub IDs below the hub count (``IndexError``) and strictly
+    ascending rows (``ValueError``), which together give every pair
+    ``hub_count > h1 > h2 >= 0``.  Yields int64 key blocks of at most
+    ``chunk`` pairs, h1-major within each row.
     """
-    he = lotus.he
-    deg = (he.indptr[rows + 1] - he.indptr[rows]).astype(np.int64)
-    pair_counts = deg * (deg - 1) // 2
-    total = 0
-    # group rows into chunks of ~_PAIR_CHUNK total pairs
-    cum = np.cumsum(pair_counts)
-    start = 0
-    while start < rows.size:
-        base = cum[start] - pair_counts[start]
-        stop = int(np.searchsorted(cum, base + _PAIR_CHUNK, side="left")) + 1
-        stop = min(max(stop, start + 1), rows.size)
-        sel = slice(start, stop)
-        counts = pair_counts[sel]
-        p = concat_ranges(np.zeros(stop - start, dtype=np.int64), counts)
-        i = ((1.0 + np.sqrt(1.0 + 8.0 * p)) / 2.0).astype(np.int64)
-        # guard against float rounding at triangular boundaries
-        tri = i * (i - 1) // 2
-        over = tri > p
-        i[over] -= 1
-        tri[over] = i[over] * (i[over] - 1) // 2
-        j = p - tri
-        under = j >= i
-        i[under] += 1
-        tri[under] = i[under] * (i[under] - 1) // 2
-        j[under] = p[under] - tri[under]
-        row_start = np.repeat(he.indptr[rows[sel]], counts)
-        h1 = he.indices[row_start + i].astype(np.int64, copy=False)
-        h2 = he.indices[row_start + j].astype(np.int64, copy=False)
-        total += int(np.count_nonzero(lotus.h2h.test_pairs(h1, h2)))
-        start = stop
-    return total
+    arcs = np.asarray(arcs, dtype=np.int64)
+    if arcs.size == 0:
+        return
+    # the rows the pairs read, as a local CSR over HE arcs [lo, hi): from
+    # the first arc's row start through the last arc
+    indptr = lotus.he.indptr
+    first_row = int(indptr.searchsorted(arcs.min(), side="right")) - 1
+    last = int(arcs.max())
+    end_row = int(indptr.searchsorted(last, side="right"))
+    lo, hi = int(indptr[first_row]), last + 1
+    rows = indptr[first_row : end_row + 1] - lo
+    h = lotus.he.indices[lo:hi]
+    if int(h.max()) >= lotus.h2h.n or int(h.min()) < 0:
+        raise IndexError("hub ID out of range")
+    descent = h[1:] <= h[:-1]
+    # a row's first arc is not compared with the previous row's last
+    descent[rows[1:-1] - 1] = False
+    if descent.any():
+        raise ValueError("HE rows must ascend strictly: pairs must satisfy h1 > h2")
+    h64 = h.astype(np.int64)
+    tri = h64 * (h64 - 1) // 2
+    for later, earlier in pair_runs(rows, arcs - lo, chunk):
+        yield tri[later] + h[earlier]
 
 
-def _count_pairs_against_h2h(lotus: LotusGraph, v: int) -> int:
-    """All-pairs H2H probes for one vertex's hub-neighbour list
-    (Algorithm 3 lines 3-5), chunked to bound memory."""
-    hs = lotus.he.neighbors(v).astype(np.int64, copy=False)
-    length = hs.size
-    if length < 2:
-        return 0
-    total = 0
-    # pairs (h1 = hs[i], h2 = hs[j<i]); generate in blocks of rows i
-    i = 1
-    while i < length:
-        # choose a row block [i, j) with ~_PAIR_CHUNK pairs
-        j = i
-        pairs = 0
-        while j < length and pairs + j < _PAIR_CHUNK:
-            pairs += j
-            j += 1
-        rows = np.arange(i, j, dtype=np.int64)
-        h1 = np.repeat(hs[rows], rows)
-        h2 = hs[concat_ranges(np.zeros(rows.size, dtype=np.int64), rows)]
-        total += int(np.count_nonzero(lotus.h2h.test_pairs(h1, h2)))
-        i = j
-    return total
+def phase1_counts(lotus: LotusGraph, arcs: np.ndarray) -> tuple[int, int]:
+    """``(hhh, hhn)`` H2H hits of the pairs whose later hub is in ``arcs``.
+
+    An arc in the row of a hub vertex (below ``he.indptr[hub_count]``)
+    is HHH work, any other HHN: the split falls out of cutting the
+    vertex loop at ``hub_count``.
+    """
+    arcs = np.asarray(arcs, dtype=np.int64)
+    indptr = lotus.he.indptr
+    in_hub_rows = arcs < indptr[min(lotus.hub_count, indptr.size - 1)]
+    hhh, hhn = (
+        sum(int(np.count_nonzero(lotus.h2h.test_keys(keys)))
+            for keys in phase1_keys(lotus, part))
+        for part in (arcs[in_hub_rows], arcs[~in_hub_rows])
+    )
+    return hhh, hhn
 
 
 def count_hhh_hhn(lotus: LotusGraph) -> tuple[int, int]:
@@ -138,26 +126,9 @@ def count_hhh_hhn(lotus: LotusGraph) -> tuple[int, int]:
 
     A pair (h1, h2) of hub neighbours of ``v`` forms a triangle iff
     ``H2H.isSet(h1, h2)``; it is HHH when ``v`` itself is a hub, HHN
-    otherwise.  The split falls out of cutting the vertex loop at
-    ``hub_count``.
+    otherwise (Algorithm 3 lines 3-5, every HE arc as the later hub).
     """
-    deg = lotus.he.degrees()
-    pair_counts = deg * (deg - 1) // 2
-    work = pair_counts > 0
-    big = work & (pair_counts > _PAIR_CHUNK)
-    small = work & ~big
-    results = []
-    for is_hub_range in (True, False):
-        vertex_sel = (
-            np.arange(lotus.num_vertices) < lotus.hub_count
-            if is_hub_range
-            else np.arange(lotus.num_vertices) >= lotus.hub_count
-        )
-        c = _batched_pair_count(lotus, np.flatnonzero(small & vertex_sel))
-        for v in np.flatnonzero(big & vertex_sel):
-            c += _count_pairs_against_h2h(lotus, int(v))
-        results.append(c)
-    return results[0], results[1]
+    return phase1_counts(lotus, np.arange(lotus.he.indices.size, dtype=np.int64))
 
 
 def count_hnn(lotus: LotusGraph, fused: bool = True) -> int:

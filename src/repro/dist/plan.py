@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.util.arrays import arc_keys
+from repro.util.arrays import PAIR_CHUNK, arc_keys, pair_runs
 
 __all__ = [
     "QUERY_BYTES",
@@ -50,9 +50,6 @@ __all__ = [
 QUERY_BYTES = 8
 # ... and one membership bool back
 ANSWER_BYTES = 1
-
-# pair-enumeration chunk bound, mirroring repro.core.count._PAIR_CHUNK
-_WEDGE_CHUNK = 1 << 22
 
 
 def degree_rank(graph: CSRGraph) -> np.ndarray:
@@ -216,40 +213,21 @@ def wedge_chunks(
     indptr: np.ndarray,
     indices: np.ndarray,
     apex_ids: np.ndarray,
-    chunk_pairs: int = _WEDGE_CHUNK,
+    chunk_pairs: int = PAIR_CHUNK,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Enumerate the oriented wedges of ``apex_ids`` in bounded chunks.
 
     ``indptr`` is a *compact* CSR aligned with ``apex_ids`` (row ``k``
     of ``indices`` belongs to ``apex_ids[k]``), rows ascending.  Yields
     ``(apex, b, c)`` int64 blocks of at most ``chunk_pairs`` wedges with
-    ``b > c`` per element, using the closed-form triangular decode of
-    :func:`repro.core.count._batched_pair_count` — no Python loop over
-    vertices, and rows larger than a chunk split cleanly across chunks.
+    ``b > c`` per element: the in-row pairs of
+    :func:`repro.util.arrays.pair_runs`, ``b`` the later element.
     """
-    deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
-    pairs = deg * (deg - 1) // 2
-    cum = np.cumsum(pairs)
-    total = int(cum[-1]) if cum.size else 0
-    row_base = cum - pairs
     indices = indices.astype(np.int64, copy=False)
-    for lo in range(0, total, chunk_pairs):
-        p = np.arange(lo, min(lo + chunk_pairs, total), dtype=np.int64)
-        r = np.searchsorted(cum, p, side="right")
-        lp = p - row_base[r]
-        i = ((1.0 + np.sqrt(1.0 + 8.0 * lp)) / 2.0).astype(np.int64)
-        # guard against float rounding at triangular boundaries
-        tri = i * (i - 1) // 2
-        over = tri > lp
-        i[over] -= 1
-        tri[over] = i[over] * (i[over] - 1) // 2
-        j = lp - tri
-        under = j >= i
-        i[under] += 1
-        tri[under] = i[under] * (i[under] - 1) // 2
-        j[under] = lp[under] - tri[under]
-        base = indptr[r]
-        yield apex_ids[r], indices[base + i], indices[base + j]
+    arc_apex = np.repeat(apex_ids, np.diff(indptr))
+    arcs = np.arange(indices.size, dtype=np.int64)
+    for later, earlier in pair_runs(indptr, arcs, chunk_pairs):
+        yield arc_apex[later], indices[later], indices[earlier]
 
 
 def count_hubs(

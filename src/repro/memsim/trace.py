@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.count import phase1_keys
 from repro.core.structure import LotusGraph
 from repro.graph.csr import OrientedGraph
 from repro.memsim.layout import MemoryLayout, Region
@@ -182,33 +183,15 @@ def _phase1_pairs(lotus: LotusGraph) -> tuple[np.ndarray, np.ndarray]:
     """(owner_row_indptr, h2h_bit_index_per_pair) for all phase-1 probes.
 
     Pair enumeration matches Algorithm 3 lines 3-5: for each vertex, all
-    (h1, h2) pairs of its HE row with h2 earlier than h1, h1-major order.
+    (h1, h2) pairs of its HE row with h2 earlier than h1, h1-major order
+    (the keys of :func:`repro.core.count.phase1_keys`, one block).
     """
-    he = lotus.he
-    deg = he.degrees()
-    pair_counts = deg * (deg - 1) // 2
-    pair_indptr = np.zeros(he.num_vertices + 1, dtype=np.int64)
-    np.cumsum(pair_counts, out=pair_indptr[1:])
-    total = int(pair_indptr[-1])
-    if total == 0:
-        return pair_indptr, np.empty(0, dtype=np.int64)
-    # decode pair ordinals into (i, j) offsets per row (see count.py)
-    p = concat_ranges(np.zeros(he.num_vertices, dtype=np.int64), pair_counts)
-    i = ((1.0 + np.sqrt(1.0 + 8.0 * p)) / 2.0).astype(np.int64)
-    tri = i * (i - 1) // 2
-    over = tri > p
-    i[over] -= 1
-    tri[over] = i[over] * (i[over] - 1) // 2
-    j = p - tri
-    under = j >= i
-    i[under] += 1
-    tri[under] = i[under] * (i[under] - 1) // 2
-    j[under] = p[under] - tri[under]
-    row_start = np.repeat(he.indptr[:-1], pair_counts)
-    h1 = he.indices[row_start + i].astype(np.int64, copy=False)
-    h2 = he.indices[row_start + j].astype(np.int64, copy=False)
-    bit_idx = h1 * (h1 - 1) // 2 + h2
-    return pair_indptr, bit_idx
+    deg = lotus.he.degrees()
+    pair_indptr = np.zeros(lotus.he.num_vertices + 1, dtype=np.int64)
+    np.cumsum(deg * (deg - 1) // 2, out=pair_indptr[1:])
+    arcs = np.arange(lotus.he.indices.size, dtype=np.int64)
+    keys = list(phase1_keys(lotus, arcs, chunk=max(int(pair_indptr[-1]), 1)))
+    return pair_indptr, keys[0] if keys else np.empty(0, dtype=np.int64)
 
 
 def lotus_phase1_trace(lotus: LotusGraph, layout: MemoryLayout | None = None) -> np.ndarray:

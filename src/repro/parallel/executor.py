@@ -20,68 +20,40 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.count import _batched_pair_count
+from repro.core.count import phase1_counts
 from repro.core.structure import LotusGraph
 from repro.core.tiling import Tile, tiles_for_phase1
 from repro.obs import get_registry
+from repro.parallel.scheduler import chunk_tiles
 from repro.util.arrays import concat_ranges
 
 __all__ = [
     "count_hhh_hhn_parallel",
     "count_hhh_hhn_parallel_split",
-    "run_phase1_tile",
     "run_tile_batch",
 ]
-
-
-def run_phase1_tile(lotus: LotusGraph, tile: Tile) -> int:
-    """Count the H2H hits of one tile: pairs (h1, h2) where h1 is the
-    neighbour at offsets [start, stop) of the tile's vertex and h2 any
-    earlier neighbour (Algorithm 3 lines 3-5 restricted to the tile)."""
-    hs = lotus.he.neighbors(tile.vertex).astype(np.int64, copy=False)
-    if tile.stop <= tile.start or hs.size < 2:
-        return 0
-    rows = np.arange(max(tile.start, 1), tile.stop, dtype=np.int64)
-    if rows.size == 0:
-        return 0
-    h1 = np.repeat(hs[rows], rows)
-    h2 = hs[concat_ranges(np.zeros(rows.size, dtype=np.int64), rows)]
-    return int(np.count_nonzero(lotus.h2h.test_pairs(h1, h2)))
 
 
 def run_tile_batch(lotus: LotusGraph, batch: list[Tile]) -> tuple[int, int]:
     """Execute a batch of tiles, returning the ``(hhh, hhn)`` split.
 
-    Whole-row tiles go through the cross-vertex vectorised kernel (one
-    NumPy pass per hub class); split tiles run individually.  A tile is
-    HHH work when its vertex is itself a hub, HHN otherwise — the split
-    falls out of cutting at ``hub_count`` exactly as in the sequential
-    :func:`repro.core.count.count_hhh_hhn`.  Used by both the thread
-    backend (below) and the process backend
-    (:mod:`repro.parallel.procpool`).
+    A tile is the arc range ``[start, stop)`` of its vertex's HE row, so
+    a batch is one :func:`repro.core.count.phase1_counts` call over the
+    concatenated ranges.  Used by both the thread backend (below) and
+    the process backend (:mod:`repro.parallel.procpool`).
     """
-    he_deg = lotus.he.degrees()
-    hc = lotus.hub_count
-    totals = [0, 0]  # [hhh, hhn]
-    whole: tuple[list[int], list[int]] = ([], [])
-    for t in batch:
-        cls = 0 if t.vertex < hc else 1
-        if t.start == 0 and t.stop == int(he_deg[t.vertex]):
-            whole[cls].append(t.vertex)
-        else:
-            totals[cls] += run_phase1_tile(lotus, t)
-    for cls in (0, 1):
-        if whole[cls]:
-            rows = np.asarray(whole[cls], dtype=np.int64)
-            totals[cls] += _batched_pair_count(lotus, rows)
-    return totals[0], totals[1]
+    vertex, start, stop = np.array(
+        [(t.vertex, t.start, t.stop) for t in batch], dtype=np.int64
+    ).reshape(-1, 3).T
+    arcs = concat_ranges(lotus.he.indptr[vertex] + start, stop - start)
+    return phase1_counts(lotus, arcs)
 
 
 def _run_traced_tile(lotus: LotusGraph, tile: Tile, parent) -> int:
     """One tile under a span (only called while observability is enabled)."""
     registry = get_registry()
     with registry.span("tile", parent=parent) as span:
-        hits = run_phase1_tile(lotus, tile)
+        hits = sum(run_tile_batch(lotus, [tile]))
         span.set("vertex", tile.vertex)
         span.set("start", tile.start)
         span.set("stop", tile.stop)
@@ -148,14 +120,11 @@ def count_hhh_hhn_parallel_split(
                 hhh, hhn = run_tile_batch(lotus, tiles)
             phase_span.set("hits", hhh + hhn)
             return hhh, hhn
-        # deal tiles into a few batches per worker (round-robin keeps the
-        # per-batch work balanced since tiles are already work-equalised);
-        # one Python task per batch keeps dispatch overhead negligible
-        num_batches = threads * 4
-        batches: list[list[Tile]] = [[] for _ in range(num_batches)]
-        for i, tile in enumerate(tiles):
-            batches[i % num_batches].append(tile)
-        registry.counter("parallel.sched.batches").add(num_batches)
+        # a few contiguous, work-balanced batches per worker; one Python
+        # task per batch keeps dispatch overhead negligible
+        bounds = chunk_tiles(tiles, threads, chunks_per_worker=4)
+        batches = [tiles[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        registry.counter("parallel.sched.batches").add(len(batches))
 
         def run_batch_traced(batch: list[Tile], submitted: float) -> tuple[int, int]:
             # spans cross the thread boundary: the phase span is handed over

@@ -3,17 +3,25 @@
 These implement the "gather many CSR rows at once" idiom that keeps the
 per-vertex kernels of the TC algorithms inside NumPy: a Python loop runs
 only over vertices, while all per-edge work is batched.  Membership in
-CSR rows is one ``searchsorted`` over sorted arc keys ``row * W + col``.
+CSR rows is one ``searchsorted`` over sorted arc keys ``row * W + col``;
+every in-row pair (phase 1, the distributed wedges) comes out of
+:func:`pair_runs`.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 __all__ = [
-    "concat_ranges", "group_ids", "segment_sums",
+    "concat_ranges", "group_ids", "segment_sums", "pair_runs", "PAIR_CHUNK",
     "key_width", "arc_keys", "encode_keys", "match_keys", "rows_searchsorted",
 ]
+
+# pairs per pair_runs chunk: small enough that the per-pair temporaries
+# of one chunk stay cache-resident (and bound peak memory)
+PAIR_CHUNK = 1 << 16
 
 
 def key_width(*indices: np.ndarray) -> int:
@@ -77,6 +85,39 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     group_start = np.cumsum(lengths) - lengths
     within = np.arange(total, dtype=np.int64) - np.repeat(group_start, lengths)
     return np.repeat(starts, lengths) + within
+
+
+def pair_runs(
+    indptr: np.ndarray, arcs: np.ndarray, chunk: int = PAIR_CHUNK,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every in-row pair whose later element is one of ``arcs``, in chunks.
+
+    ``arcs`` are positions into the CSR's neighbour array.  An arc at row
+    offset ``i`` owns a run of ``i`` pairs: itself (the later element)
+    with each earlier arc of its row, ascending.  Runs follow the order
+    of ``arcs`` and are laid out flat with one ``arange`` and two
+    ``repeat``s per chunk; a run longer than the room left in a chunk
+    continues in the next.  Yields ``(later, earlier)`` int64 position
+    arrays of at most ``chunk`` pairs.
+    """
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    arcs = np.asarray(arcs, dtype=np.int64)
+    row_start = indptr[indptr.searchsorted(arcs, side="right") - 1]
+    lens = arcs - row_start
+    ends = lens.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        # the runs overlapping pair ordinals [lo, hi), clipped to them
+        a = int(ends.searchsorted(lo, side="right"))
+        b = int(ends.searchsorted(hi, side="left")) + 1
+        run_lo = ends[a:b] - lens[a:b]
+        first = np.maximum(run_lo, lo)
+        counts = np.minimum(ends[a:b], hi) - first
+        earlier = np.arange(lo, hi, dtype=np.int64)
+        earlier += (row_start[a:b] - run_lo).repeat(counts)
+        yield arcs[a:b].repeat(counts), earlier
 
 
 def group_ids(lengths: np.ndarray) -> np.ndarray:

@@ -13,16 +13,19 @@ Lifecycle rules (tested under injected worker crashes):
 * the **creator** owns the segment: only its handle unlinks, and
   :meth:`SharedArrays.unlink` is idempotent so error paths can call it
   unconditionally;
-* **attachers** are unregistered from the CPython resource tracker
-  (which would otherwise also try to unlink the segment at interpreter
-  exit and warn about "leaked" objects — the creator is the single
-  owner);
+* an **attacher** with a resource tracker of its own unregisters the
+  segment from it (that tracker would otherwise also try to unlink the
+  segment at interpreter exit and warn about "leaked" objects — the
+  creator is the single owner); an attacher that shares the creator's
+  tracker (every ``multiprocessing`` child inherits it) leaves the
+  creator's entry there alone;
 * ``close`` is best-effort: NumPy views exported from the buffer keep
   the mapping alive, and the mapping dies with the process anyway.
 """
 
 from __future__ import annotations
 
+import os
 import secrets
 from multiprocessing import shared_memory
 from typing import Any, Mapping
@@ -93,17 +96,6 @@ class SharedArrays:
         if self._unlinked:
             return
         self._unlinked = True
-        # Under the fork start method, workers share the parent's resource
-        # tracker, so a worker's attach-time unregister (see _untrack) drops
-        # the creator's registration too.  Re-registering is idempotent (the
-        # tracker cache is a set) and guarantees the unregister inside
-        # SharedMemory.unlink() finds the entry instead of logging KeyError.
-        try:  # pragma: no cover - tracker internals
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(self._shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
         try:
             self._shm.unlink()
         except FileNotFoundError:
@@ -155,6 +147,7 @@ def share_arrays(
     manifest = {
         "segment": shm.name,
         "nbytes": total,
+        "tracker": _tracker_id(),
         "meta": dict(meta or {}),
         "arrays": specs,
     }
@@ -172,11 +165,11 @@ def share_arrays(
 def attach_arrays(manifest: dict[str, Any]) -> SharedArrays:
     """Re-open a segment described by ``manifest`` and rebuild the views.
 
-    The attachment is unregistered from the resource tracker so the
-    creator stays the sole owner of the segment lifecycle.
+    The attachment leaves no claim on the segment with any resource
+    tracker, so the creator stays the sole owner of its lifecycle.
     """
     shm = shared_memory.SharedMemory(name=manifest["segment"])
-    _untrack(shm)
+    _untrack(shm, manifest.get("tracker"))
     arrays = {
         spec["key"]: np.ndarray(
             tuple(spec["shape"]), dtype=np.dtype(spec["dtype"]),
@@ -196,10 +189,27 @@ def manifest_nbytes(manifest: dict[str, Any]) -> int:
     return int(manifest["nbytes"])
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    # Until 3.13's track=False, every attach re-registers the segment
-    # with the resource tracker, which then double-unlinks (and warns) at
-    # interpreter exit.  The creator is the owner; drop the extra claim.
+def _tracker_id() -> int | None:
+    """Identity of this process's resource tracker: the inode of the pipe
+    to it, which every ``multiprocessing`` child inherits."""
+    try:  # pragma: no cover - platform-dependent internals
+        from multiprocessing import resource_tracker
+
+        return os.fstat(resource_tracker.getfd()).st_ino
+    except Exception:
+        return None
+
+
+def _untrack(shm: shared_memory.SharedMemory, creator_tracker: int | None) -> None:
+    # Until 3.13's track=False, every attach registers the segment with
+    # the resource tracker.  A tracker of the attacher's own would unlink
+    # the segment (and warn) at interpreter exit, so drop that claim.  In
+    # the creator's tracker the entry is the creator's: the register was a
+    # no-op, and an unregister would remove it, so that concurrent
+    # attachers (register, register, unregister, unregister) make the
+    # tracker log KeyError.
+    if creator_tracker is not None and creator_tracker == _tracker_id():
+        return
     try:  # pragma: no cover - platform-dependent internals
         from multiprocessing import resource_tracker
 

@@ -43,6 +43,15 @@ class TestSetAndTest:
         assert ba.test_pairs(h1, h2).all()
         assert ba.count_set() == 3
 
+    def test_test_keys_matches_test_pairs(self):
+        ba = TriangularBitArray(30)
+        ba.set_pairs(np.array([29, 17, 5]), np.array([28, 0, 4]))
+        h1, h2 = np.tril_indices(30, k=-1)
+        np.testing.assert_array_equal(
+            ba.test_keys(triangular_index(h1, h2)), ba.test_pairs(h1, h2)
+        )
+        assert int(np.count_nonzero(ba.test_keys(triangular_index(h1, h2)))) == 3
+
     def test_idempotent_set(self):
         ba = TriangularBitArray(8)
         ba.set(5, 2)

@@ -1,5 +1,7 @@
 """Tests for the 3-phase Lotus counting (Algorithm 3)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,11 @@ from repro.graph import (
     from_edges,
     powerlaw_chung_lu,
 )
+from repro.core.tiling import tiles_for_phase1
+from repro.graph.csr import OrientedGraph
 from repro.graph.degree import hub_mask_top_k
+from repro.memsim.trace import _phase1_pairs
+from repro.parallel.executor import count_hhh_hhn_parallel_split, run_tile_batch
 from repro.tc import count_triangles_matrix
 
 
@@ -141,3 +147,50 @@ class TestHubCountSensitivity:
         c = r.extra["counts"]
         assert c.hhn == c.hnn == c.nnn == 0
         assert c.hhh == count_triangles_matrix(g)
+
+
+class TestPhase1RowCheck:
+    """Phase 1 checks each HE arc once instead of each pair; a corrupted
+    row must still be rejected by every phase-1 path, never counted."""
+
+    @pytest.fixture
+    def lotus(self, powerlaw_small):
+        return build_lotus_graph(powerlaw_small, LotusConfig(hub_count=40))
+
+    @staticmethod
+    def _corrupt(lotus, kind, hub_row):
+        he = lotus.he
+        deg = he.degrees()
+        rows = np.flatnonzero(deg >= 3)
+        rows = rows[rows < lotus.hub_count] if hub_row else rows[rows >= lotus.hub_count]
+        v = int(rows[0])
+        lo, hi = int(he.indptr[v]), int(he.indptr[v + 1])
+        indices = he.indices.copy()
+        if kind == "descending":
+            indices[lo], indices[hi - 1] = indices[hi - 1], indices[lo]
+        else:
+            indices[hi - 1] = lotus.hub_count
+        return replace(lotus, he=OrientedGraph(he.indptr, indices))
+
+    @pytest.mark.parametrize("hub_row", [True, False])
+    @pytest.mark.parametrize(
+        "kind, error, message",
+        [("descending", ValueError, "ascend"),
+         ("out_of_range", IndexError, "hub ID out of range")],
+    )
+    def test_every_phase1_path_raises(self, lotus, kind, error, message, hub_row):
+        bad = self._corrupt(lotus, kind, hub_row)
+        tiles = tiles_for_phase1(bad.he, partitions=4, degree_threshold=4)
+        calls = [
+            lambda: count_hhh_hhn(bad),
+            lambda: run_tile_batch(bad, tiles),
+            lambda: count_hhh_hhn_parallel_split(bad, threads=2, degree_threshold=4),
+            lambda: _phase1_pairs(bad),
+        ]
+        for call in calls:
+            with pytest.raises(error, match=message):
+                call()
+
+    def test_intact_structure_passes(self, lotus):
+        tiles = tiles_for_phase1(lotus.he, partitions=4, degree_threshold=4)
+        assert run_tile_batch(lotus, tiles) == count_hhh_hhn(lotus)

@@ -17,6 +17,10 @@ The load-bearing guarantees, each pinned here:
 from __future__ import annotations
 
 import glob
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -91,6 +95,49 @@ class TestSharedArrays:
         handle.unlink()
         handle.unlink()  # second call is a no-op
         assert not any(name in p for p in _live_segments())
+
+    def test_forked_attachers_leave_the_tracker_entry_alone(self):
+        """Two forked attachers share the creator's resource tracker.  Held
+        at a barrier around ``_untrack`` they interleave as register,
+        register, then both untrack; an unregister there would hit the
+        tracker twice for one entry and it would log ``KeyError``."""
+        script = textwrap.dedent(
+            """
+            import multiprocessing as mp
+            import numpy as np
+            import repro.util.shm as shm
+
+            ctx = mp.get_context("fork")
+            barrier = ctx.Barrier(2)
+            untrack = shm._untrack
+
+            def held(*args):
+                barrier.wait(timeout=20)
+                untrack(*args)
+
+            def attach(manifest):
+                shm.attach_arrays(manifest).close()
+
+            shm._untrack = held
+            handle = shm.share_arrays({"x": np.arange(8)})
+            procs = [ctx.Process(target=attach, args=(handle.manifest,))
+                     for _ in range(2)]
+            for p in procs:
+                p.start()
+            for p in procs:
+                p.join(30)
+            handle.unlink()
+            print("exitcodes", [p.exitcode for p in procs])
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env=env,
+        )
+        assert "exitcodes [0, 0]" in done.stdout, done.stderr
+        assert "KeyError" not in done.stderr, done.stderr
+        assert "leaked" not in done.stderr, done.stderr
 
     def test_csr_graph_round_trip(self):
         graph = rmat(scale=8, edge_factor=6, seed=3)
